@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu_compute::{KernelInput, KernelOp, Placement};
-use dpdpu_core::Dpdpu;
+use dpdpu_core::DpdpuBuilder;
 use dpdpu_des::{now, Sim};
 use dpdpu_hw::{CpuPool, LinkConfig};
 use dpdpu_net::tcp::{TcpConnector, TcpSide};
@@ -52,7 +52,7 @@ fn measure(pipelined: bool) -> u64 {
     let out = Rc::new(Cell::new(0u64));
     let out2 = out.clone();
     sim.spawn(async move {
-        let rt = Dpdpu::start_default();
+        let rt = DpdpuBuilder::new().boot();
         let file = rt.storage.create("pages").await.unwrap();
         let corpus = dpdpu_kernels::text::natural_text((PAGES * PAGE) as usize, 5);
         rt.storage.write(file, 0, &corpus).await.unwrap();

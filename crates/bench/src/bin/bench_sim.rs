@@ -267,13 +267,13 @@ fn run_all(scale: u64) -> Vec<BenchResult> {
         }));
     }
 
-    // The gateway scheduler's pure-CPU hot path: one DRR enqueue plus
-    // one pick per counted event, eight tenant queues with mixed
-    // weights and request costs spanning gets to fanned-out scans.
-    // This bounds how fast the WFQ tier itself can cycle requests,
+    // The DRR scheduler's pure-CPU hot path as the gateway drives it:
+    // one enqueue plus one pick per counted event, eight tenant queues
+    // with mixed weights and request costs spanning gets to fanned-out
+    // scans. This bounds how fast the WFQ tier itself can cycle requests,
     // independent of admission, dispatch slots, and the cluster below.
     {
-        use dpdpu_dds::gateway::DrrScheduler;
+        use dpdpu_des::DrrScheduler;
 
         let ops = 16_384 * scale;
         results.push(bench("gateway_wfq", ops, 5, move || {

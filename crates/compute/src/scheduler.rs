@@ -7,7 +7,8 @@
 //!
 //! * [`SchedPolicy::Fcfs`] — one arrival-ordered queue;
 //! * [`SchedPolicy::Drr`] — weighted deficit round robin across tenant
-//!   classes (also the multi-tenant fairness mechanism of §5);
+//!   classes (also the multi-tenant fairness mechanism of §5), drained
+//!   through the shared [`DrrScheduler`];
 //! * [`SchedPolicy::DpuOnly`] — static placement, no host migration
 //!   (the baseline the paper argues against).
 
@@ -15,7 +16,10 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use dpdpu_des::{oneshot, spawn, yield_now, Counter, OneshotReceiver, OneshotSender, Time};
+use dpdpu_des::{
+    oneshot, spawn, yield_now, Counter, DrrScheduler, OneshotReceiver, OneshotSender, TenantQueues,
+    Time,
+};
 use dpdpu_hw::CpuPool;
 
 use crate::kernel::ExecTarget;
@@ -75,10 +79,8 @@ struct Pending {
 }
 
 struct SchedState {
-    /// Per-tenant queues (DRR) — FCFS uses only index 0.
-    queues: Vec<VecDeque<Pending>>,
-    deficits: Vec<u64>,
-    rr_cursor: usize,
+    /// Per-tenant DRR queues, or one FCFS queue.
+    queues: TenantQueues<Pending>,
     dispatcher_running: bool,
 }
 
@@ -87,7 +89,6 @@ pub struct Scheduler {
     policy: SchedPolicy,
     dpu: Rc<CpuPool>,
     host: Rc<CpuPool>,
-    weights: Vec<u64>,
     state: RefCell<SchedState>,
     /// Sprocs executed on DPU cores.
     pub on_dpu: Counter,
@@ -111,19 +112,21 @@ impl Scheduler {
         weights: Vec<u64>,
     ) -> Rc<Self> {
         assert!(!weights.is_empty(), "at least one tenant weight required");
-        let n = weights.len();
+        let queues = match policy {
+            SchedPolicy::Drr { quantum_cycles } => {
+                TenantQueues::Drr(DrrScheduler::new(&weights, quantum_cycles))
+            }
+            SchedPolicy::Fcfs | SchedPolicy::DpuOnly => TenantQueues::Fifo(VecDeque::new()),
+        };
         Rc::new(Scheduler {
             policy,
             dpu,
             host,
             state: RefCell::new(SchedState {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                deficits: vec![0; n],
-                rr_cursor: 0,
+                queues,
                 dispatcher_running: false,
             }),
-            tenant_cycles: RefCell::new(vec![0; n]),
-            weights,
+            tenant_cycles: RefCell::new(vec![0; weights.len()]),
             on_dpu: Counter::new(),
             on_host: Counter::new(),
         })
@@ -133,7 +136,7 @@ impl Scheduler {
     /// Must be called from inside a running simulation.
     pub fn submit(self: &Rc<Self>, spec: SprocSpec) -> OneshotReceiver<SprocDone> {
         assert!(
-            spec.tenant < self.weights.len(),
+            spec.tenant < self.tenant_cycles.borrow().len(),
             "unknown tenant {}",
             spec.tenant
         );
@@ -141,15 +144,15 @@ impl Scheduler {
         let submitted_at = dpdpu_telemetry::Telemetry::is_enabled().then(dpdpu_des::now);
         {
             let mut st = self.state.borrow_mut();
-            let q = match self.policy {
-                SchedPolicy::Drr { .. } => spec.tenant,
-                _ => 0,
-            };
-            st.queues[q].push_back(Pending {
-                spec,
-                done: tx,
-                submitted_at,
-            });
+            st.queues.push(
+                spec.tenant,
+                spec.cycles,
+                Pending {
+                    spec,
+                    done: tx,
+                    submitted_at,
+                },
+            );
             if !st.dispatcher_running {
                 st.dispatcher_running = true;
                 let this = self.clone();
@@ -159,13 +162,9 @@ impl Scheduler {
         rx
     }
 
-    fn total_queued(&self) -> usize {
-        self.state.borrow().queues.iter().map(|q| q.len()).sum()
-    }
-
     async fn dispatch_loop(self: Rc<Self>) {
         loop {
-            let next = self.pick_next();
+            let next = self.state.borrow_mut().queues.pop();
             let Some(pending) = next else {
                 self.state.borrow_mut().dispatcher_running = false;
                 return;
@@ -174,40 +173,6 @@ impl Scheduler {
             // Let freshly spawned executions enqueue on the core pools so
             // queue_len() reflects real backlog for migration decisions.
             yield_now().await;
-        }
-    }
-
-    fn pick_next(&self) -> Option<Pending> {
-        let mut st = self.state.borrow_mut();
-        match self.policy {
-            SchedPolicy::Fcfs | SchedPolicy::DpuOnly => st.queues[0].pop_front(),
-            SchedPolicy::Drr { quantum_cycles } => {
-                let n = st.queues.len();
-                if st.queues.iter().all(|q| q.is_empty()) {
-                    return None;
-                }
-                // Classic DRR: visit classes round-robin; a class may send
-                // while its deficit covers the head-of-line task.
-                loop {
-                    let c = st.rr_cursor;
-                    if st.queues[c].is_empty() {
-                        st.deficits[c] = 0;
-                        st.rr_cursor = (c + 1) % n;
-                        continue;
-                    }
-                    let head_cycles = st.queues[c].front().expect("non-empty checked").spec.cycles;
-                    if st.deficits[c] >= head_cycles {
-                        st.deficits[c] -= head_cycles;
-                        return st.queues[c].pop_front();
-                    }
-                    st.deficits[c] += quantum_cycles * self.weights[c];
-                    if st.deficits[c] >= head_cycles {
-                        st.deficits[c] -= head_cycles;
-                        return st.queues[c].pop_front();
-                    }
-                    st.rr_cursor = (c + 1) % n;
-                }
-            }
         }
     }
 
@@ -259,7 +224,7 @@ impl Scheduler {
 
     /// Work still queued (diagnostics).
     pub fn backlog(&self) -> usize {
-        self.total_queued()
+        self.state.borrow().queues.len()
     }
 }
 
@@ -347,13 +312,12 @@ mod tests {
     }
 
     #[test]
-    fn drr_interleaves_burst_with_latecomer() {
-        // Tenant 0 floods first; tenant 1 submits one task after. Under
-        // DRR the latecomer must not wait behind the whole burst.
+    fn drr_serves_latecomer_after_one_quantum_of_the_burst() {
+        // Tenant 0 submits eight 10k-cycle sprocs, then tenant 1 submits
+        // one. With a 50k-cycle quantum and equal weights, DRR serves
+        // five of the burst, then the latecomer, then the rest.
         let mut sim = Sim::new();
         let (dpu, host) = pools();
-        // Huge host so migration (which bypasses queues) doesn't blur
-        // ordering: use DpuOnly-like behaviour by raising DPU capacity.
         let sched = Scheduler::new(
             dpu,
             host,
@@ -363,30 +327,33 @@ mod tests {
             vec![1, 1],
         );
         sim.spawn(async move {
-            let mut burst = Vec::new();
-            for _ in 0..8 {
-                burst.push(sched.submit(SprocSpec {
-                    tenant: 0,
-                    cycles: 50_000,
-                    variance: Variance::High,
+            let mut rxs = Vec::new();
+            for tenant in [0, 0, 0, 0, 0, 0, 0, 0, 1] {
+                rxs.push(sched.submit(SprocSpec {
+                    tenant,
+                    cycles: 10_000,
+                    variance: Variance::Low,
                 }));
             }
-            let late = sched.submit(SprocSpec {
-                tenant: 1,
-                cycles: 50_000,
-                variance: Variance::Low,
-            });
-            let late_done = late.await.unwrap().finished_at;
-            let mut burst_done = Vec::new();
-            for rx in burst {
-                burst_done.push(rx.await.unwrap().finished_at);
+            // The dispatcher yields after every dispatch, and dispatch
+            // charges the tenant's cycles, so polling the per-tenant
+            // totals between yields recovers the dispatch order.
+            let mut order = Vec::new();
+            let mut seen = [0u64; 2];
+            while order.len() < rxs.len() {
+                yield_now().await;
+                let cycles = sched.cycles_by_tenant();
+                for tenant in 0..2 {
+                    while seen[tenant] < cycles[tenant] {
+                        seen[tenant] += 10_000;
+                        order.push(tenant);
+                    }
+                }
             }
-            let later_than_late = burst_done.iter().filter(|&&t| t > late_done).count();
-            assert!(
-                later_than_late >= 3,
-                "DRR should finish the latecomer before much of the burst; \
-                 late={late_done} burst={burst_done:?}"
-            );
+            assert_eq!(order, [0, 0, 0, 0, 0, 1, 0, 0, 0]);
+            for rx in rxs {
+                rx.await.unwrap();
+            }
         });
         sim.run();
     }
@@ -421,7 +388,7 @@ mod tests {
         sim.run();
         let cycles = sched.cycles_by_tenant();
         // Everything eventually completes, so totals equalize; the DRR
-        // guarantee under saturation is ordering, checked above. Here we
+        // guarantee is dispatch order, checked above. Here we
         // simply confirm both tenants were fully served.
         assert_eq!(cycles[0], 100 * 25_000);
         assert_eq!(cycles[1], 100 * 25_000);

@@ -4,14 +4,14 @@
 //! accelerator capacities vary greatly across hardware; there is also a
 //! lack of virtualization support on these accelerators." This module
 //! virtualizes one engine in software: per-tenant queues drained by
-//! byte-weighted deficit round robin in front of the (unvirtualized)
-//! hardware, so a flooding tenant cannot starve others beyond its share.
+//! byte-weighted deficit round robin (the shared [`DrrScheduler`]) in
+//! front of the (unvirtualized) hardware, so a flooding tenant cannot
+//! starve others beyond its share.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use dpdpu_des::{oneshot, spawn, OneshotReceiver, OneshotSender, Time};
+use dpdpu_des::{oneshot, spawn, DrrScheduler, OneshotReceiver, OneshotSender, Time};
 use dpdpu_hw::Accelerator;
 
 /// One queued accelerator job.
@@ -20,23 +20,11 @@ struct Job {
     done: OneshotSender<Time>,
 }
 
-struct ShareState {
-    queues: Vec<VecDeque<Job>>,
-    deficits: Vec<u64>,
-    cursor: usize,
-    /// Whether the class under the cursor already received its quantum
-    /// for the current visit (DRR adds the quantum once per visit, then
-    /// serves while the deficit lasts).
-    topped_up: bool,
-    dispatcher_running: bool,
-}
-
 /// A DRR arbiter in front of one accelerator.
 pub struct AccelShares {
     accel: Rc<Accelerator>,
-    weights: Vec<u64>,
-    quantum_bytes: u64,
-    state: RefCell<ShareState>,
+    queues: RefCell<DrrScheduler<Job>>,
+    dispatcher_running: Cell<bool>,
     /// Bytes processed per tenant (fairness accounting).
     pub tenant_bytes: RefCell<Vec<u64>>,
 }
@@ -45,74 +33,39 @@ impl AccelShares {
     /// Wraps `accel` with per-tenant weighted shares. `quantum_bytes` is
     /// the base service quantum per DRR round.
     pub fn new(accel: Rc<Accelerator>, weights: Vec<u64>, quantum_bytes: u64) -> Rc<Self> {
-        assert!(!weights.is_empty(), "at least one tenant");
-        assert!(quantum_bytes > 0, "quantum must be positive");
-        let n = weights.len();
         Rc::new(AccelShares {
             accel,
-            quantum_bytes,
-            state: RefCell::new(ShareState {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                deficits: vec![0; n],
-                cursor: 0,
-                topped_up: false,
-                dispatcher_running: false,
-            }),
-            tenant_bytes: RefCell::new(vec![0; n]),
-            weights,
+            queues: RefCell::new(DrrScheduler::new(&weights, quantum_bytes)),
+            dispatcher_running: Cell::new(false),
+            tenant_bytes: RefCell::new(vec![0; weights.len()]),
         })
     }
 
     /// Submits a job for `tenant`; resolves with the completion time.
     /// Must be called inside a running simulation.
     pub fn submit(self: &Rc<Self>, tenant: usize, bytes: u64) -> OneshotReceiver<Time> {
-        assert!(tenant < self.weights.len(), "unknown tenant {tenant}");
+        assert!(
+            tenant < self.tenant_bytes.borrow().len(),
+            "unknown tenant {tenant}"
+        );
         let (tx, rx) = oneshot();
-        {
-            let mut st = self.state.borrow_mut();
-            st.queues[tenant].push_back(Job { bytes, done: tx });
-            if !st.dispatcher_running {
-                st.dispatcher_running = true;
-                let this = self.clone();
-                spawn(async move { this.dispatch_loop().await });
-            }
+        self.queues
+            .borrow_mut()
+            .enqueue(tenant, bytes, Job { bytes, done: tx });
+        if !self.dispatcher_running.replace(true) {
+            let this = self.clone();
+            spawn(async move { this.dispatch_loop().await });
         }
         rx
     }
 
-    fn pick(&self) -> Option<(usize, Job)> {
-        let mut st = self.state.borrow_mut();
-        if st.queues.iter().all(|q| q.is_empty()) {
-            st.dispatcher_running = false;
-            return None;
-        }
-        loop {
-            let c = st.cursor;
-            if st.queues[c].is_empty() {
-                st.deficits[c] = 0;
-                st.cursor = (c + 1) % st.queues.len();
-                st.topped_up = false;
-                continue;
-            }
-            if !st.topped_up {
-                st.deficits[c] += self.quantum_bytes * self.weights[c];
-                st.topped_up = true;
-            }
-            let head = st.queues[c].front().expect("non-empty").bytes;
-            if st.deficits[c] >= head {
-                // Serve; the cursor stays so the class can drain its
-                // remaining deficit before the round moves on.
-                st.deficits[c] -= head;
-                let job = st.queues[c].pop_front().expect("non-empty");
-                return Some((c, job));
-            }
-            st.cursor = (c + 1) % st.queues.len();
-            st.topped_up = false;
-        }
-    }
-
     async fn dispatch_loop(self: Rc<Self>) {
-        while let Some((tenant, job)) = self.pick() {
+        loop {
+            let next = self.queues.borrow_mut().pick();
+            let Some((tenant, _, job)) = next else {
+                self.dispatcher_running.set(false);
+                return;
+            };
             // An offline engine simply contributes no timing; the job's
             // completion still fires so fairness accounting stays whole.
             let _ = self.accel.process(job.bytes).await;

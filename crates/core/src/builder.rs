@@ -1,20 +1,17 @@
 //! Fluent construction of the runtime.
 //!
-//! `Dpdpu::start(platform)` wired everything positionally and left no
-//! room for the knobs robustness needs (scheduling policy, fault plan,
-//! telemetry opt-out). [`DpdpuBuilder`] is the front door now;
-//! `Dpdpu::start`/`start_default` remain as thin shims over it.
+//! [`DpdpuBuilder`] is the one way to boot a [`Dpdpu`]: hardware preset
+//! or explicit platform, fault plan, telemetry opt-out, network
+//! configuration and tenant specs.
 //!
 //! ```
 //! use dpdpu_core::DpdpuBuilder;
-//! use dpdpu_compute::SchedPolicy;
 //! use dpdpu_faults::FaultPlan;
 //!
 //! let mut sim = dpdpu_des::Sim::new();
 //! sim.spawn(async {
 //!     let rt = DpdpuBuilder::new()
 //!         .bluefield2()
-//!         .sched_policy(SchedPolicy::Fcfs)
 //!         .fault_plan(FaultPlan::new(42).ssd_read_errors(0.01))
 //!         .boot();
 //!     let file = rt.storage.create("t").await.unwrap();
@@ -26,7 +23,7 @@
 
 use std::rc::Rc;
 
-use dpdpu_compute::{ComputeEngine, SchedPolicy, Scheduler};
+use dpdpu_compute::ComputeEngine;
 use dpdpu_faults::{FaultPlan, FaultSession};
 use dpdpu_hw::{DpuSpec, HostSpec, Platform};
 use dpdpu_net::fabric::FabricKind;
@@ -54,8 +51,6 @@ pub struct DpdpuBuilder {
     platform: Option<Rc<Platform>>,
     preset: Preset,
     tag: String,
-    sched_policy: SchedPolicy,
-    tenant_weights: Vec<u64>,
     tenant_specs: Vec<TenantSpec>,
     fault_plan: Option<FaultPlan>,
     telemetry: bool,
@@ -68,8 +63,6 @@ impl Default for DpdpuBuilder {
             platform: None,
             preset: Preset::Bluefield2,
             tag: String::new(),
-            sched_policy: SchedPolicy::Fcfs,
-            tenant_weights: vec![1],
             tenant_specs: Vec::new(),
             fault_plan: None,
             telemetry: true,
@@ -79,8 +72,8 @@ impl Default for DpdpuBuilder {
 }
 
 impl DpdpuBuilder {
-    /// A builder with the defaults: EPYC + BlueField-2, FCFS scheduling,
-    /// single tenant, no faults, telemetry registration on.
+    /// A builder with the defaults: EPYC + BlueField-2, no tenant specs,
+    /// no faults, telemetry registration on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -125,28 +118,12 @@ impl DpdpuBuilder {
         }
     }
 
-    /// Sproc scheduling policy for the runtime's [`Scheduler`].
-    pub fn sched_policy(mut self, policy: SchedPolicy) -> Self {
-        self.sched_policy = policy;
-        self
-    }
-
-    /// Per-tenant DRR weights (defaults to one tenant of weight 1).
-    pub fn tenant_weights(mut self, weights: Vec<u64>) -> Self {
-        assert!(!weights.is_empty(), "at least one tenant weight required");
-        self.tenant_weights = weights;
-        self
-    }
-
     /// Full per-tenant QoS configuration: names, SLO classes, WFQ
-    /// weights, and admission limits. The weight vector feeds the
-    /// compute scheduler's accelerator DRR shares (like
-    /// [`tenant_weights`](Self::tenant_weights)); the full specs are
-    /// carried on the runtime as [`Dpdpu::tenants`] so a serving-tier
-    /// gateway can enforce them on the request path.
+    /// weights, and admission limits. The specs are carried on the
+    /// runtime as [`Dpdpu::tenants`] so a serving-tier gateway can
+    /// enforce them on the request path.
     pub fn tenants(mut self, specs: Vec<TenantSpec>) -> Self {
         assert!(!specs.is_empty(), "at least one tenant required");
-        self.tenant_weights = specs.iter().map(|t| t.weight).collect();
         self.tenant_specs = specs;
         self
     }
@@ -187,9 +164,8 @@ impl DpdpuBuilder {
     }
 
     /// Boots the runtime: installs the fault plan (if any), formats the
-    /// file system, starts the DPU file service, host front end, Compute
-    /// Engine, and sproc scheduler. Must be called inside a running
-    /// simulation.
+    /// file system, starts the DPU file service, host front end and
+    /// Compute Engine. Must be called inside a running simulation.
     pub fn boot(self) -> Rc<Dpdpu> {
         // Conformance is always-on: every builder-booted run gets the
         // invariant checker. An outer `CheckGuard` (strict, owned by the
@@ -243,18 +219,11 @@ impl DpdpuBuilder {
             storage.clone(),
         );
         let compute = ComputeEngine::new(platform.clone());
-        let scheduler = Scheduler::new(
-            platform.dpu_cpu.clone(),
-            platform.host_cpu.clone(),
-            self.sched_policy,
-            self.tenant_weights.clone(),
-        );
         Rc::new(Dpdpu {
             platform,
             compute,
             storage,
             front_end,
-            scheduler,
             sprocs: SprocRegistry::new(),
             faults,
             net: self.net,
@@ -269,7 +238,7 @@ mod tests {
     use dpdpu_des::Sim;
 
     #[test]
-    fn builder_defaults_match_start_default() {
+    fn builder_defaults_boot_bluefield2() {
         let mut sim = Sim::new();
         sim.spawn(async {
             let rt = DpdpuBuilder::new().boot();
@@ -329,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_tenants_feed_scheduler_weights_and_runtime_specs() {
+    fn builder_tenants_reach_runtime_specs() {
         use crate::tenants::TenantSpec;
         let mut sim = Sim::new();
         sim.spawn(async {
@@ -340,7 +309,6 @@ mod tests {
                     TenantSpec::latency("storm", 1).in_flight(8),
                 ])
                 .boot();
-            assert_eq!(rt.scheduler.cycles_by_tenant().len(), 3);
             assert_eq!(rt.tenants.len(), 3);
             assert_eq!(rt.tenants[0].name, "kv");
             assert_eq!(rt.tenants[2].max_in_flight, 8);
@@ -349,16 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_wires_scheduler_policy() {
+    fn builder_bluefield3_preset() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let rt = DpdpuBuilder::new()
-                .bluefield3()
-                .sched_policy(SchedPolicy::DpuOnly)
-                .tenant_weights(vec![2, 1])
-                .boot();
+            let rt = DpdpuBuilder::new().bluefield3().boot();
             assert_eq!(rt.platform.dpu_spec.name, "BlueField-3");
-            assert_eq!(rt.scheduler.cycles_by_tenant().len(), 2);
         });
         sim.run();
     }

@@ -4,19 +4,19 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement, Scheduler};
+use dpdpu_compute::{ComputeEngine, KernelInput, KernelOp, KernelOutput, Placement};
 use dpdpu_faults::FaultSession;
 use dpdpu_hw::Platform;
 use dpdpu_net::tcp::TcpSender;
 use dpdpu_net::NetConfig;
 use dpdpu_storage::{FileId, FileService, HostFrontEnd};
 
-use crate::builder::DpdpuBuilder;
 use crate::error::DpdpuError;
 use crate::report::Report;
 use crate::sproc::SprocRegistry;
 
-/// The DPDPU runtime: engines wired over one platform.
+/// The DPDPU runtime: engines wired over one platform. Built by
+/// [`DpdpuBuilder`](crate::DpdpuBuilder).
 pub struct Dpdpu {
     /// The hardware.
     pub platform: Rc<Platform>,
@@ -26,36 +26,24 @@ pub struct Dpdpu {
     pub storage: Rc<FileService>,
     /// Storage Engine: the host-side POSIX-like front end.
     pub front_end: Rc<HostFrontEnd>,
-    /// Sproc scheduler over the platform's core pools.
-    pub scheduler: Rc<Scheduler>,
     /// Registered sprocs.
     pub sprocs: SprocRegistry,
     /// The fault session installed at boot, if the builder was given a
     /// plan (handle for injection counts and reports).
     pub faults: Option<Rc<FaultSession>>,
     /// The network configuration chosen at build time
-    /// ([`DpdpuBuilder::net`]); serving layers route their shard
-    /// connections over its fabric with its TCP/link settings.
+    /// ([`DpdpuBuilder::net`](crate::DpdpuBuilder::net)); serving layers
+    /// route their shard connections over its fabric with its TCP/link
+    /// settings.
     pub net: NetConfig,
     /// Per-tenant QoS specs declared at build time
-    /// ([`DpdpuBuilder::tenants`]); empty when the run is
-    /// single-tenant. A serving-tier gateway enforces these on the
-    /// request path; the compute scheduler already took the weights.
+    /// ([`DpdpuBuilder::tenants`](crate::DpdpuBuilder::tenants)); empty
+    /// when the run is single-tenant. A serving-tier gateway enforces
+    /// these on the request path.
     pub tenants: Vec<crate::tenants::TenantSpec>,
 }
 
 impl Dpdpu {
-    /// Boots DPDPU on a platform with default policies. Thin shim over
-    /// [`DpdpuBuilder`]; must be called inside a running simulation.
-    pub fn start(platform: Rc<Platform>) -> Rc<Self> {
-        DpdpuBuilder::new().platform(platform).boot()
-    }
-
-    /// Boots on the default EPYC + BlueField-2 platform.
-    pub fn start_default() -> Rc<Self> {
-        DpdpuBuilder::new().boot()
-    }
-
     /// The §4 composition example: read pages from SSD (Storage Engine),
     /// compress them (Compute Engine, accelerator preferred), stream each
     /// result to the client (Network Engine) — pipelined per page, no
@@ -143,6 +131,7 @@ impl Dpdpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DpdpuBuilder;
     use dpdpu_des::{now, Sim};
     use dpdpu_hw::{CpuPool, LinkConfig};
     use dpdpu_net::tcp::{TcpConnector, TcpSide};
@@ -151,7 +140,7 @@ mod tests {
     fn runtime_boots_and_reports() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let dpdpu = Dpdpu::start_default();
+            let dpdpu = DpdpuBuilder::new().boot();
             let id = dpdpu.storage.create("t").await.unwrap();
             dpdpu.storage.write(id, 0, b"hello").await.unwrap();
             let report = dpdpu.report(now().max(1));
@@ -165,7 +154,7 @@ mod tests {
     fn front_end_and_service_share_files() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let dpdpu = Dpdpu::start_default();
+            let dpdpu = DpdpuBuilder::new().boot();
             let id = dpdpu.front_end.create("shared").await.unwrap();
             dpdpu
                 .front_end
@@ -186,7 +175,7 @@ mod tests {
         // the storage pollers shut down and the sim quiesce.
         let mut sim = Sim::new();
         sim.spawn(async {
-            let rt = Dpdpu::start_default();
+            let rt = DpdpuBuilder::new().boot();
             rt.register_sproc("noop", |_rt: Rc<Dpdpu>, arg: Bytes| async move { arg })
                 .unwrap();
             let out = rt
@@ -208,7 +197,7 @@ mod tests {
     fn read_compress_send_pipeline() {
         let mut sim = Sim::new();
         sim.spawn(async {
-            let dpdpu = Dpdpu::start_default();
+            let dpdpu = DpdpuBuilder::new().boot();
             let id = dpdpu.storage.create("pages").await.unwrap();
             let text = dpdpu_kernels::text::natural_text(8 * 8_192, 3);
             dpdpu.storage.write(id, 0, &text).await.unwrap();

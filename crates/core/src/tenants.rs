@@ -6,10 +6,9 @@
 //! class labels telemetry and picks table groupings, it does not change
 //! the scheduler math), and the admission knobs (token-bucket rate and
 //! an in-flight cap). The specs are declared once on
-//! [`DpdpuBuilder::tenants`](crate::DpdpuBuilder::tenants) and consumed
-//! twice: the compute scheduler takes the weight vector for its
-//! accelerator DRR shares, and the DDS gateway tier takes the full
-//! specs for request admission and dispatch scheduling.
+//! [`DpdpuBuilder::tenants`](crate::DpdpuBuilder::tenants), carried on
+//! the runtime, and consumed by the DDS gateway tier for request
+//! admission and dispatch scheduling.
 
 /// What a tenant's traffic promises about itself, and therefore how its
 /// latency should be read: point KV ops that care about tail latency,

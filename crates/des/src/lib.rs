@@ -6,7 +6,8 @@
 //! accelerators, NICs, SSDs) is modelled as [`Server`]s — FIFO resources
 //! with a capacity and a per-request service time — and protocol logic is
 //! written as ordinary `async` Rust awaiting [`sleep`], channels, and
-//! semaphores.
+//! semaphores. Tenants share a resource through one weighted-fair
+//! discipline, [`DrrScheduler`].
 //!
 //! Determinism guarantees:
 //!
@@ -32,6 +33,7 @@
 mod channel;
 mod combinators;
 pub mod domain;
+mod drr;
 mod executor;
 mod oneshot;
 pub mod probe;
@@ -43,6 +45,7 @@ mod time;
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use combinators::{join_all, race, timeout, Either, Elapsed};
 pub use domain::{DomainHooks, DomainSet, NoHooks, XReceiver, XSender};
+pub use drr::{DrrScheduler, TenantQueues};
 pub use executor::{now, sleep, sleep_until, spawn, try_now, yield_now, JoinHandle, Sim};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use semaphore::{Permit, Semaphore};

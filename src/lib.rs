@@ -12,11 +12,11 @@
 //!
 //! ```
 //! use dpdpu::des::Sim;
-//! use dpdpu::core::Dpdpu;
+//! use dpdpu::core::DpdpuBuilder;
 //!
 //! let mut sim = Sim::new();
 //! sim.spawn(async {
-//!     let rt = Dpdpu::start_default();
+//!     let rt = DpdpuBuilder::new().boot();
 //!     let file = rt.storage.create("hello.db").await.unwrap();
 //!     rt.storage.write(file, 0, b"hello dpu").await.unwrap();
 //!     let back = rt.storage.read(file, 0, 9).await.unwrap();

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dpdpu::compute::{ExecTarget, KernelError, KernelInput, KernelOp, Placement};
-use dpdpu::core::Dpdpu;
+use dpdpu::core::DpdpuBuilder;
 use dpdpu::des::{now, Sim};
 use dpdpu::hw::{CpuPool, DpuSpec, HostSpec, LinkConfig, Platform};
 use dpdpu::net::tcp::{TcpConnector, TcpSide};
@@ -22,7 +22,9 @@ fn same_sproc_portable_across_dpus() {
         let out: Rc<Cell<Option<Vec<u8>>>> = Rc::new(Cell::new(None));
         let out2 = out.clone();
         sim.spawn(async move {
-            let rt = Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
+            let rt = DpdpuBuilder::new()
+                .platform(Platform::new(HostSpec::epyc(), dpu))
+                .boot();
             let file = rt.storage.create("data").await.unwrap();
             let corpus = dpdpu::kernels::text::natural_text(128 * 1024, 5);
             rt.storage.write(file, 0, &corpus).await.unwrap();
@@ -67,7 +69,9 @@ fn regex_fallback_matches_asic_result() {
         let out = Rc::new(Cell::new(0u64));
         let out2 = out.clone();
         sim.spawn(async move {
-            let rt = Dpdpu::start(Platform::new(HostSpec::epyc(), dpu));
+            let rt = DpdpuBuilder::new()
+                .platform(Platform::new(HostSpec::epyc(), dpu))
+                .boot();
             let regex = Rc::new(dpdpu::kernels::regex::Regex::new(r"ERROR \w+").unwrap());
             let op = KernelOp::RegexScan { regex };
             let mut log = String::new();
@@ -115,7 +119,7 @@ fn whole_stack_determinism() {
         let out = Rc::new(Cell::new((0u64, 0u64)));
         let out2 = out.clone();
         sim.spawn(async move {
-            let rt = Dpdpu::start_default();
+            let rt = DpdpuBuilder::new().boot();
             let file = rt.storage.create("pages").await.unwrap();
             let corpus = dpdpu::kernels::text::natural_text(32 * 8_192, 17);
             rt.storage.write(file, 0, &corpus).await.unwrap();
@@ -155,7 +159,7 @@ fn whole_stack_determinism() {
 fn encrypt_store_decrypt_pipeline() {
     let mut sim = Sim::new();
     sim.spawn(async {
-        let rt = Dpdpu::start_default();
+        let rt = DpdpuBuilder::new().boot();
         let key = [9u8; 16];
         let nonce = [4u8; 12];
         let plain = Bytes::from(dpdpu::kernels::text::natural_text(16 * 1024, 31));
@@ -201,7 +205,7 @@ fn encrypt_store_decrypt_pipeline() {
 fn mixed_kernel_storm() {
     let mut sim = Sim::new();
     sim.spawn(async {
-        let rt = Dpdpu::start_default();
+        let rt = DpdpuBuilder::new().boot();
         let corpus = dpdpu::kernels::text::natural_text(8 * 1024, 3);
         let mut handles = Vec::new();
         for i in 0..64u32 {
@@ -295,7 +299,7 @@ fn aggregate_pushdown_equals_local() {
     use dpdpu::kernels::relops::{aggregate, AggFunc, AggSpec};
     let mut sim = Sim::new();
     sim.spawn(async {
-        let rt = Dpdpu::start_default();
+        let rt = DpdpuBuilder::new().boot();
         let batch = gen::orders(5_000, 77);
         let specs = vec![
             AggSpec {

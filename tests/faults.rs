@@ -97,7 +97,7 @@ fn same_seed_and_plan_reproduce_identical_runs() {
         let errors2 = errors.clone();
         let mut sim = Sim::new();
         sim.spawn(async move {
-            let rt = dpdpu::core::Dpdpu::start_default();
+            let rt = DpdpuBuilder::new().boot();
             let file = rt.storage.create("d").await.unwrap();
             rt.storage
                 .write(file, 0, &vec![7u8; 64 * 1_024])

@@ -519,12 +519,12 @@ fn live_resharding_moves_few_keys_and_keeps_all_readable() {
 #[test]
 fn engine_compress_adversarial_pages() {
     use dpdpu::compute::{KernelInput, KernelOp, Placement};
-    use dpdpu::core::Dpdpu;
+    use dpdpu::core::DpdpuBuilder;
     use dpdpu::des::Sim;
 
     let mut sim = Sim::new();
     sim.spawn(async {
-        let rt = Dpdpu::start_default();
+        let rt = DpdpuBuilder::new().boot();
         let cases: Vec<Vec<u8>> = vec![
             vec![0u8; 8_192],
             vec![0xFF; 8_192],
@@ -548,12 +548,13 @@ fn engine_compress_adversarial_pages() {
     sim.run();
 }
 
-/// DRR (gateway scheduler): work conservation — the scheduler never
-/// refuses to serve while any queue holds an item, and never serves
-/// from an empty backlog, across random enqueue/pick interleavings.
+/// DRR (the one `dpdpu-des` scheduler behind the gateway, sprocs and
+/// accelerators): work conservation — the scheduler never refuses to
+/// serve while any queue holds an item, and never serves from an empty
+/// backlog, across random enqueue/pick interleavings.
 #[test]
 fn drr_is_work_conserving() {
-    use dpdpu::dds::gateway::DrrScheduler;
+    use dpdpu::des::DrrScheduler;
 
     let mut rng = StdRng::seed_from_u64(0x9B_0010);
     for case in 0..32 {
@@ -585,7 +586,7 @@ fn drr_is_work_conserving() {
 /// the weight ratio within tolerance, for random weights and costs.
 #[test]
 fn drr_converges_to_weighted_shares() {
-    use dpdpu::dds::gateway::DrrScheduler;
+    use dpdpu::des::DrrScheduler;
 
     let mut rng = StdRng::seed_from_u64(0x9B_0011);
     for case in 0..16 {
@@ -621,7 +622,7 @@ fn drr_converges_to_weighted_shares() {
 /// matter how heavily-weighted adversaries flood the other queues.
 #[test]
 fn drr_never_starves_weight_one_tenants() {
-    use dpdpu::dds::gateway::DrrScheduler;
+    use dpdpu::des::DrrScheduler;
 
     let mut rng = StdRng::seed_from_u64(0x9B_0012);
     for case in 0..16 {
