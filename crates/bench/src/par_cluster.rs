@@ -145,8 +145,8 @@ struct DomainOut {
     issued: u64,
     ok: u64,
     remote: u64,
-    p50_ns: u64,
-    p99_ns: u64,
+    /// Every successful request's latency, for the fleet quantiles.
+    latency_ns: Vec<u64>,
 }
 
 /// Binds a domain's telemetry and conformance sessions to its execution
@@ -205,8 +205,7 @@ impl DomainHooks for ParHooks {
             issued: s.issued.get(),
             ok: s.ok.get(),
             remote: s.remote.get(),
-            p50_ns: s.latency.p50().unwrap_or(0),
-            p99_ns: s.latency.p99().unwrap_or(0),
+            latency_ns: s.latency.samples(),
         });
         Telemetry::uninstall();
         dpdpu_check::CheckSession::uninstall();
@@ -221,6 +220,9 @@ pub struct ParRun {
     pub trace: String,
     /// Final virtual time per domain.
     pub finals: Vec<Time>,
+    /// Synchronization windows the run took — identical at every job
+    /// count.
+    pub windows: u64,
     /// Total task polls across every domain (the events/s numerator).
     pub polls: u64,
     /// Requests issued fleet-wide.
@@ -231,10 +233,11 @@ pub struct ParRun {
     pub remote: u64,
     /// Latest domain clock at quiesce, ns.
     pub elapsed_ns: u64,
-    /// Mean of the per-domain median latencies, ns.
-    pub mean_p50_ns: u64,
-    /// Worst per-domain p99 latency, ns.
-    pub max_p99_ns: u64,
+    /// Median latency over every successful request fleet-wide, ns.
+    pub p50_ns: u64,
+    /// 99th-percentile latency over every successful request
+    /// fleet-wide, ns.
+    pub p99_ns: u64,
 }
 
 /// Runs the partitioned cluster on `jobs` worker threads. The output is
@@ -298,7 +301,7 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
             (sim, Box::new(hooks) as Box<dyn DomainHooks>)
         });
     }
-    let finals = set.run(jobs);
+    let run = set.run(jobs);
     let outs: Vec<DomainOut> = slots
         .iter()
         .map(|s| {
@@ -318,7 +321,10 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
         .enumerate()
         .map(|(d, o)| (format!("pd{d}"), o.trace.clone()))
         .collect();
-    let n = outs.len() as u64;
+    let fleet = Histogram::new();
+    for &ns in outs.iter().flat_map(|o| &o.latency_ns) {
+        fleet.record(ns);
+    }
     ParRun {
         stdout,
         trace: merge_traces(&named),
@@ -326,10 +332,11 @@ pub fn run_par(cfg: ParClusterConfig, jobs: usize) -> ParRun {
         issued: outs.iter().map(|o| o.issued).sum(),
         ok: outs.iter().map(|o| o.ok).sum(),
         remote: outs.iter().map(|o| o.remote).sum(),
-        elapsed_ns: finals.iter().copied().max().unwrap_or(0),
-        mean_p50_ns: outs.iter().map(|o| o.p50_ns).sum::<u64>() / n.max(1),
-        max_p99_ns: outs.iter().map(|o| o.p99_ns).max().unwrap_or(0),
-        finals,
+        elapsed_ns: run.finals.iter().copied().max().unwrap_or(0),
+        p50_ns: fleet.p50().unwrap_or(0),
+        p99_ns: fleet.p99().unwrap_or(0),
+        finals: run.finals,
+        windows: run.windows,
     }
 }
 
@@ -583,6 +590,8 @@ mod tests {
         assert_eq!(a.trace, c.trace, "jobs=3 trace diverged");
         assert_eq!(a.finals, b.finals);
         assert_eq!(a.polls, b.polls);
+        assert_eq!(a.windows, b.windows);
+        assert_eq!(a.windows, c.windows);
         assert!(!a.trace.is_empty(), "domains must emit telemetry");
     }
 
@@ -597,7 +606,7 @@ mod tests {
         );
         assert!(r.remote < r.issued, "some ops must stay local");
         assert!(r.elapsed_ns > CLIENT_START_NS);
-        assert!(r.max_p99_ns >= r.mean_p50_ns);
+        assert!(r.p99_ns >= r.p50_ns);
     }
 
     #[test]

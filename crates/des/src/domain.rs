@@ -2,51 +2,41 @@
 //!
 //! Partitions a simulation into independent [`Sim`]s — one *time domain*
 //! per shard platform — that run on worker threads and only interact
-//! through latency-stamped inter-domain channels. A conservative
-//! (Chandy–Misra–Bryant-style) synchronizer advances each domain to the
-//! minimum of its neighbours' promised clocks plus the per-link lookahead,
-//! so a domain never receives an event from its own past and the merged
-//! event order is a pure function of (topology, seeds) — **independent of
-//! thread count**. `DomainSet::run(jobs=1)` and `run(jobs=N)` replay
-//! byte-identically.
+//! through latency-stamped inter-domain channels. A window synchronizer
+//! in the style of YAWNS (Nicol, 1993) moves every domain through the
+//! same barrier-separated windows, so the merged event order is a pure
+//! function of (topology, seeds): `DomainSet::run(jobs=1)` and
+//! `run(jobs=N)` replay byte-identically.
 //!
-//! ## The synchronization protocol
+//! ## The window protocol
 //!
-//! * Every cross-domain link has a positive `latency` — the lookahead. A
-//!   message sent at local time `t` arrives stamped `t + latency`.
-//! * Each domain publishes a **promise**: a monotone lower bound on the
-//!   timestamp of anything it may still send. The promise is
-//!   `min(next local timer, earliest unauthorized inbound message, EIT)`,
-//!   where `EIT = min over in-links (promise(src) + latency)` is the
-//!   earliest input time — the horizon below which the domain's input is
-//!   complete.
-//! * A domain may freely process local timers and deliver inbound
-//!   messages with timestamps strictly below its EIT. Deliveries happen
-//!   at exact event times (`Sim::advance_to`), messages at `t` are
-//!   delivered before local timers at `t`, and same-timestamp deliveries
-//!   across links are ordered by global link id — three fixed conventions
-//!   that make the merged order independent of how work was sliced across
-//!   synchronization rounds.
-//! * When no thread can make progress from the promises alone (e.g. a
-//!   ring of idle domains waiting on one far-future timer), a global
-//!   relaxation computes the greatest fixed point of the promise
-//!   equations directly — the shortest-path closure of local event
-//!   bounds over link latencies — instead of iterating `+latency` steps.
-//! * Termination is exact: the set is done when every domain is
-//!   quiescent (no timers, no runnable tasks) and no sent message is
-//!   still unauthorized. Parked receivers are dropped at teardown, just
-//!   like parked tasks when a serial [`Sim::run`] returns.
+//! * A message sent at local time `t` arrives stamped `t + latency`; the
+//!   smallest link latency `L` is the lookahead.
+//! * Before each window, every domain publishes its earliest pending
+//!   event: its clock if a task is runnable, otherwise the earliest of
+//!   its next timer and its earliest undelivered inbound message. `T` is
+//!   the minimum over all domains; `T == Time::MAX` ends the run.
+//! * Every domain then runs its events strictly below `T + L`. No event
+//!   runs below `T`, so every send is stamped at least `T + L`: the
+//!   messages due in a window were all queued before it started, and a
+//!   second barrier makes the window's sends visible to the next one.
+//! * Deliveries happen at exact event times (`Sim::advance_to`),
+//!   messages at `t` go before local timers at `t`, and same-timestamp
+//!   deliveries are ordered by global link id.
+//! * A panic inside a domain raises a shared abort flag; its worker still
+//!   reaches the barrier, so every worker leaves at the same window and
+//!   [`DomainSet::run`] resumes the payload on the caller.
 //!
-//! Soundness turns into a *checked* invariant: an inbound message stamped
-//! at or before the receiver's clock means the sender broke its promise
-//! (or someone forged a timestamp), and the driver panics with a
-//! "lookahead violation" — the meta-test for the whole scheme.
+//! At every window start, an inbound message stamped at or before the
+//! receiver's clock means its sender broke the lookahead (or forged a
+//! timestamp): the domain panics with a "lookahead violation".
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
 use crate::executor::{now, Sim};
@@ -78,59 +68,6 @@ pub struct NoHooks;
 
 impl DomainHooks for NoHooks {}
 
-/// Global synchronizer state shared by every worker thread.
-struct SyncState {
-    /// Monotone per-domain lower bounds on future send timestamps.
-    promises: Vec<Time>,
-    /// Per-domain lower bound on the next *local* timer (`Time::MAX`
-    /// when none; 0 until the domain's first pass publishes one).
-    timer_floor: Vec<Time>,
-    /// Earliest unauthorized inbound timestamp per *receiving* domain
-    /// (`Time::MAX` when none). Maintained under this lock from both
-    /// sides: every [`XSender::push`] mins its stamped timestamp in via
-    /// `note_send`, and the receiving domain overwrites the entry with a
-    /// fresh queue scan at the end of each pass. Keeping it here — not
-    /// derived from unlocked queue scans — is what makes a promise
-    /// computation unable to miss a message that was sent while the
-    /// scan ran.
-    inbound: Vec<Time>,
-    /// Whether each domain still has local work (timers or runnables).
-    pending: Vec<bool>,
-    /// Messages pushed to links but not yet authorized by their
-    /// receiving domain. Termination requires zero: a quiescent domain
-    /// with an unauthorized inbound message is not done, it is waiting.
-    queued_unauth: u64,
-    /// Bumped on every state change another thread might act on.
-    generation: u64,
-    /// Worker threads currently blocked on the condvar.
-    waiting: usize,
-    done: bool,
-}
-
-struct SyncShared {
-    state: Mutex<SyncState>,
-    cv: Condvar,
-}
-
-impl SyncShared {
-    fn lock(&self) -> MutexGuard<'_, SyncState> {
-        // A worker that panicked mid-update (a lookahead violation fires
-        // inside `segment`, not under this lock) poisons nothing we
-        // can't still read to shut down.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn note_send(&self, to: usize, ts: Time) {
-        let mut s = self.lock();
-        s.inbound[to] = s.inbound[to].min(ts);
-        s.queued_unauth += 1;
-        s.generation = s.generation.wrapping_add(1);
-        if s.waiting > 0 {
-            self.cv.notify_all();
-        }
-    }
-}
-
 /// One direction of an inter-domain channel.
 struct LinkShared<T> {
     q: Mutex<VecDeque<(Time, T)>>,
@@ -138,52 +75,43 @@ struct LinkShared<T> {
     /// with `ts <= auth`; everything above is invisible to them until
     /// the domain driver has advanced the clock to the entry's time.
     auth: AtomicU64,
-    /// Bumped after every push; lets the driver cache the queue scan.
-    version: AtomicU64,
     waker: Mutex<Option<Waker>>,
     latency: Time,
 }
 
-/// Driver-side view of an inbound link, type-erased over the payload.
-trait InPort: Send {
-    /// Earliest timestamp above the authorization watermark, if any.
-    fn unauth_front(&self) -> Option<Time>;
-    /// Raises the watermark to `ts`, wakes the receiver, and returns how
-    /// many entries became visible. Full scan on purpose: the queue is
-    /// sorted only if every sender honoured its promise, which is
-    /// exactly what we must not assume.
-    fn authorize_upto(&self, ts: Time) -> u64;
-    fn version(&self) -> u64;
+impl<T> LinkShared<T> {
+    fn queue(&self) -> MutexGuard<'_, VecDeque<(Time, T)>> {
+        self.q.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
-impl<T: Send> InPort for Arc<LinkShared<T>> {
-    fn unauth_front(&self) -> Option<Time> {
+/// Driver-side view of an inbound link, type-erased over the payload.
+trait InPort: Send + Sync {
+    /// Earliest timestamp above the authorization watermark, if any.
+    /// Full scan on purpose: the queue is sorted only if every sender
+    /// honoured the lookahead, which is exactly what we must not assume.
+    fn front(&self) -> Option<Time>;
+    /// Raises the watermark to `ts`, wakes the receiver, and returns the
+    /// new front.
+    fn authorize(&self, ts: Time) -> Option<Time>;
+}
+
+impl<T: Send> InPort for LinkShared<T> {
+    fn front(&self) -> Option<Time> {
         let auth = self.auth.load(Ordering::Acquire);
-        self.q
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        self.queue()
             .iter()
             .map(|&(ts, _)| ts)
             .filter(|&ts| ts > auth)
             .min()
     }
 
-    fn authorize_upto(&self, ts: Time) -> u64 {
-        let prev = self.auth.load(Ordering::Acquire);
-        let q = self.q.lock().unwrap_or_else(|e| e.into_inner());
-        let n = q.iter().filter(|&&(t, _)| t > prev && t <= ts).count() as u64;
-        self.auth.store(prev.max(ts), Ordering::Release);
-        drop(q);
-        if n > 0 {
-            if let Some(w) = self.waker.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                w.wake();
-            }
+    fn authorize(&self, ts: Time) -> Option<Time> {
+        self.auth.store(ts, Ordering::Release);
+        if let Some(w) = self.waker.lock().unwrap_or_else(|e| e.into_inner()).take() {
+            w.wake();
         }
-        n
-    }
-
-    fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.front()
     }
 }
 
@@ -191,18 +119,12 @@ impl<T: Send> InPort for Arc<LinkShared<T>> {
 /// immediate and stamped `now() + latency`.
 pub struct XSender<T> {
     link: Arc<LinkShared<T>>,
-    sync: Arc<SyncShared>,
-    /// Receiving domain index — `note_send` needs it to floor the
-    /// receiver's `inbound` bound under the synchronizer lock.
-    to: usize,
 }
 
 impl<T> Clone for XSender<T> {
     fn clone(&self) -> Self {
         XSender {
             link: self.link.clone(),
-            sync: self.sync.clone(),
-            to: self.to,
         }
     }
 }
@@ -211,7 +133,7 @@ impl<T: Send> XSender<T> {
     /// Sends `value` to the peer domain; it arrives at
     /// `now() + latency`. Must be called from inside a running domain.
     pub fn send(&self, value: T) {
-        self.push(now().saturating_add(self.link.latency), value);
+        self.send_with_timestamp(now().saturating_add(self.link.latency), value);
     }
 
     /// The link's latency — the lookahead this channel contributes.
@@ -224,16 +146,7 @@ impl<T: Send> XSender<T> {
     /// proves the synchronizer catches it.
     #[doc(hidden)]
     pub fn send_with_timestamp(&self, ts: Time, value: T) {
-        self.push(ts, value);
-    }
-
-    fn push(&self, ts: Time, value: T) {
-        {
-            let mut q = self.link.q.lock().unwrap_or_else(|e| e.into_inner());
-            q.push_back((ts, value));
-            self.link.version.fetch_add(1, Ordering::Release);
-        }
-        self.sync.note_send(self.to, ts);
+        self.link.queue().push_back((ts, value));
     }
 }
 
@@ -262,10 +175,10 @@ impl<T: Send> std::future::Future for Recv<'_, T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        // No lost-wakeup race here: `authorize_upto` runs on this same
-        // thread (the domain driver), never concurrently with a poll.
+        // No lost-wakeup race here: `authorize` runs on this same thread
+        // (the domain driver), never concurrently with a poll.
         let auth = self.link.auth.load(Ordering::Acquire);
-        let mut q = self.link.q.lock().unwrap_or_else(|e| e.into_inner());
+        let mut q = self.link.queue();
         if let Some(pos) = q.iter().position(|&(ts, _)| ts <= auth) {
             let (_, value) = q.remove(pos).expect("position came from this queue");
             return Poll::Ready(value);
@@ -281,31 +194,10 @@ struct InLink {
     /// same-timestamp deliveries across links.
     id: usize,
     from: usize,
-    latency: Time,
-    port: Box<dyn InPort>,
-    /// Cached `unauth_front` result, valid while `version` matches and
-    /// no authorization invalidated it — scanning every queue between
-    /// consecutive timer fires would otherwise dominate the driver.
-    cache_version: u64,
-    cache: Option<Time>,
-    cache_valid: bool,
-}
-
-impl InLink {
-    fn front(&mut self) -> Option<Time> {
-        let v = self.port.version();
-        if !self.cache_valid || v != self.cache_version {
-            self.cache = self.port.unauth_front();
-            self.cache_version = v;
-            self.cache_valid = true;
-        }
-        self.cache
-    }
-
-    fn authorize(&mut self, ts: Time) -> u64 {
-        self.cache_valid = false;
-        self.port.authorize_upto(ts)
-    }
+    port: Arc<dyn InPort>,
+    /// Earliest undelivered timestamp: scanned at window start and
+    /// refreshed by every delivery.
+    front: Option<Time>,
 }
 
 type DomainSetup = Box<dyn FnOnce() -> (Sim, Box<dyn DomainHooks>) + Send>;
@@ -316,52 +208,37 @@ struct DomainSlot {
     in_links: Vec<InLink>,
 }
 
+/// What [`DomainSet::run`] reports.
+#[derive(Debug)]
+pub struct DomainRun {
+    /// Each domain's final virtual time, in domain order.
+    pub finals: Vec<Time>,
+    /// Synchronization windows executed. The window sequence is a pure
+    /// function of simulation state, so this is identical at every job
+    /// count.
+    pub windows: u64,
+}
+
 /// A set of time domains plus the links between them. Build the
 /// topology first (`add_domain`, `link`), install each domain's root
 /// (`set_root` — the closure runs *on the worker thread* so thread-local
 /// sessions it installs belong to the domain), then [`DomainSet::run`].
+#[derive(Default)]
 pub struct DomainSet {
     domains: Vec<DomainSlot>,
-    sync: Arc<SyncShared>,
-    next_link: usize,
-}
-
-impl Default for DomainSet {
-    fn default() -> Self {
-        Self::new()
-    }
+    links: usize,
+    /// Smallest link latency: how far past the earliest pending event a
+    /// window may run. `None` until the first link.
+    lookahead: Option<Time>,
 }
 
 impl DomainSet {
     pub fn new() -> Self {
-        DomainSet {
-            domains: Vec::new(),
-            sync: Arc::new(SyncShared {
-                state: Mutex::new(SyncState {
-                    promises: Vec::new(),
-                    timer_floor: Vec::new(),
-                    inbound: Vec::new(),
-                    pending: Vec::new(),
-                    queued_unauth: 0,
-                    generation: 0,
-                    waiting: 0,
-                    done: false,
-                }),
-                cv: Condvar::new(),
-            }),
-            next_link: 0,
-        }
+        Self::default()
     }
 
     /// Adds a domain and returns its index.
     pub fn add_domain(&mut self, name: impl Into<String>) -> usize {
-        {
-            let mut s = self.sync.lock();
-            s.promises.push(0);
-            s.timer_floor.push(0);
-            s.inbound.push(Time::MAX);
-            s.pending.push(true);
-        }
         self.domains.push(DomainSlot {
             name: name.into(),
             setup: None,
@@ -389,29 +266,18 @@ impl DomainSet {
         let link = Arc::new(LinkShared::<T> {
             q: Mutex::new(VecDeque::new()),
             auth: AtomicU64::new(0),
-            version: AtomicU64::new(0),
             waker: Mutex::new(None),
             latency,
         });
-        let id = self.next_link;
-        self.next_link += 1;
         self.domains[to].in_links.push(InLink {
-            id,
+            id: self.links,
             from,
-            latency,
-            port: Box::new(link.clone()),
-            cache_version: 0,
-            cache: None,
-            cache_valid: false,
+            port: link.clone(),
+            front: None,
         });
-        (
-            XSender {
-                link: link.clone(),
-                sync: self.sync.clone(),
-                to,
-            },
-            XReceiver { link },
-        )
+        self.links += 1;
+        self.lookahead = Some(self.lookahead.map_or(latency, |l| l.min(latency)));
+        (XSender { link: link.clone() }, XReceiver { link })
     }
 
     /// Installs the domain's root. The closure runs on the worker thread
@@ -429,60 +295,98 @@ impl DomainSet {
 
     /// Runs every domain to completion on `jobs` worker threads
     /// (clamped to the domain count; `jobs = 1` is the serial
-    /// reference) and returns each domain's final virtual time. Domains
-    /// are assigned round-robin, and even `jobs = 1` uses a worker
-    /// thread, so thread-local state behaves identically at every job
-    /// count. Panics inside a domain (including lookahead violations)
-    /// are resumed on the caller.
-    pub fn run(mut self, jobs: usize) -> Vec<Time> {
+    /// reference) and returns each domain's final virtual time plus the
+    /// window count. Domains are assigned round-robin, and even
+    /// `jobs = 1` uses a worker thread, so thread-local state behaves
+    /// identically at every job count. Panics inside a domain (including
+    /// lookahead violations) are resumed on the caller.
+    pub fn run(self, jobs: usize) -> DomainRun {
         let n = self.domains.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = jobs.clamp(1, n);
-        // The static topology, for the relaxation pass: (from, to, latency).
-        let topo: Arc<Vec<(usize, usize, Time)>> = Arc::new(
-            self.domains
-                .iter()
-                .enumerate()
-                .flat_map(|(to, d)| d.in_links.iter().map(move |l| (l.from, to, l.latency)))
-                .collect(),
-        );
+        let threads = jobs.clamp(1, n.max(1));
         let mut buckets: Vec<Vec<(usize, DomainSlot)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (idx, mut slot) in self.domains.drain(..).enumerate() {
+        for (idx, mut slot) in self.domains.into_iter().enumerate() {
             // Deterministic same-timestamp merge order needs the links
             // scanned in global-id order.
             slot.in_links.sort_by_key(|l| l.id);
             buckets[idx % threads].push((idx, slot));
         }
-        let finals: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let sync = &self.sync;
-        let results: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
+        let shared = Shared {
+            barrier: WindowBarrier {
+                threads,
+                arrived: AtomicUsize::new(0),
+                round: AtomicU64::new(0),
+            },
+            earliest: (0..threads).map(|_| AtomicU64::new(Time::MAX)).collect(),
+            abort: AtomicBool::new(false),
+            lookahead: self.lookahead.unwrap_or(Time::MAX),
+        };
+        // A worker that caught a domain's panic resumes it once every
+        // worker has left the window loop; `join` hands the payload back.
+        let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()
-                .map(|bucket| {
-                    let sync = sync.clone();
-                    let topo = topo.clone();
-                    let finals = &finals;
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| worker(bucket, &sync, &topo, finals)))
-                    })
+                .enumerate()
+                .map(|(w, bucket)| {
+                    let shared = &shared;
+                    scope.spawn(move || worker(w, bucket, shared))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("worker panics are caught inside the worker")
-                })
-                .collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        let mut run = DomainRun {
+            finals: vec![0; n],
+            windows: 0,
+        };
         for r in results {
-            if let Err(payload) = r {
-                resume_unwind(payload);
+            let (windows, finals) = r.unwrap_or_else(|payload| resume_unwind(payload));
+            run.windows = windows;
+            for (idx, t) in finals {
+                run.finals[idx] = t;
             }
         }
-        finals.iter().map(|t| t.load(Ordering::Acquire)).collect()
+        run
+    }
+}
+
+/// State every worker thread shares. `earliest` and `abort` are accessed
+/// `Relaxed`: each write is ordered before each read by the barrier
+/// between them (the `AcqRel` chain on `arrived`, then `round`'s
+/// `Release` store and `Acquire` load).
+struct Shared {
+    barrier: WindowBarrier,
+    /// Each worker's earliest pending event for the coming window.
+    earliest: Vec<AtomicU64>,
+    /// Raised by a worker whose domain panicked; every worker leaves at
+    /// the next window start.
+    abort: AtomicBool,
+    lookahead: Time,
+}
+
+/// A counting barrier with a round number. Windows are often only a few
+/// microseconds of work per domain, so parking in the kernel at every
+/// barrier would cost more than the window itself. Waiters yield instead
+/// of spinning, so a worker that still has work gets the core even when
+/// there are more workers than cores.
+struct WindowBarrier {
+    threads: usize,
+    arrived: AtomicUsize,
+    round: AtomicU64,
+}
+
+impl WindowBarrier {
+    /// Blocks until every worker has called `wait` for this round. All
+    /// writes made before any worker's call are visible after every
+    /// worker's return.
+    fn wait(&self) {
+        let round = self.round.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.threads {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.round.store(round.wrapping_add(1), Ordering::Release);
+            return;
+        }
+        while self.round.load(Ordering::Acquire) == round {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -493,99 +397,124 @@ struct DomainRt {
     sim: Sim,
     hooks: Box<dyn DomainHooks>,
     in_links: Vec<InLink>,
+    /// Earliest pending event as of the last window start.
+    next: Time,
 }
 
-fn worker(
-    bucket: Vec<(usize, DomainSlot)>,
-    sync: &SyncShared,
-    topo: &[(usize, usize, Time)],
-    finals: &[AtomicU64],
-) {
-    // If this worker panics (setup failure, lookahead violation, a task
-    // panic inside a domain), release every other thread so `run` can
-    // join them and resume the payload.
-    struct Bailout<'a>(&'a SyncShared);
-    impl Drop for Bailout<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                let mut s = self.0.lock();
-                s.done = true;
-                self.0.cv.notify_all();
+impl DomainRt {
+    /// Scans every inbound link, checks the lookahead, and records and
+    /// returns the domain's earliest pending event.
+    fn earliest_event(&mut self) -> Time {
+        let now = self.sim.now();
+        let mut earliest = self.sim.next_timer_deadline().unwrap_or(Time::MAX);
+        for l in &mut self.in_links {
+            l.front = l.port.front();
+            if let Some(f) = l.front {
+                assert!(
+                    f > now,
+                    "lookahead violation: domain '{}' holds an inbound event stamped t={f} \
+                     on link {} from domain {} with its clock already at t={now} — the sender \
+                     broke the lookahead (forged timestamp or zero-lookahead path)",
+                    self.name,
+                    l.id,
+                    l.from,
+                );
+                earliest = earliest.min(f);
             }
         }
+        self.next = if self.sim.has_runnable() {
+            now
+        } else {
+            earliest
+        };
+        self.next
     }
-    let _bail = Bailout(sync);
+}
 
-    let mut rts: Vec<DomainRt> = bucket
-        .into_iter()
-        .map(|(idx, slot)| {
+/// Runs one worker's domains through every window, then tears them down.
+/// Returns the window count and each hosted domain's final clock.
+fn worker(
+    w: usize,
+    bucket: Vec<(usize, DomainSlot)>,
+    shared: &Shared,
+) -> (u64, Vec<(usize, Time)>) {
+    let mut rts = Vec::with_capacity(bucket.len());
+    let mut failure: Option<Box<dyn Any + Send>> = catch_unwind(AssertUnwindSafe(|| {
+        for (idx, slot) in bucket {
             let setup = slot
                 .setup
                 .expect("every domain needs a root: call set_root");
             let (sim, mut hooks) = setup();
             hooks.exit();
-            DomainRt {
+            rts.push(DomainRt {
                 idx,
                 name: slot.name,
                 sim,
                 hooks,
                 in_links: slot.in_links,
-            }
-        })
-        .collect();
+                next: 0,
+            });
+        }
+    }))
+    .err();
 
+    let mut windows = 0;
     loop {
-        let (gen, done) = {
-            let s = sync.lock();
-            (s.generation, s.done)
-        };
-        if done {
+        // A worker that caught a panic keeps meeting the barriers and
+        // raises the abort flag here. The flag is written only between
+        // the window-end and window-start barriers and read only after
+        // the latter, so every worker leaves at the same window.
+        let mut earliest = Time::MAX;
+        if failure.is_none() {
+            match catch_unwind(AssertUnwindSafe(|| {
+                rts.iter_mut().map(DomainRt::earliest_event).min()
+            })) {
+                Ok(e) => earliest = e.unwrap_or(Time::MAX),
+                Err(payload) => failure = Some(payload),
+            }
+        }
+        if failure.is_some() {
+            shared.abort.store(true, Ordering::Relaxed);
+        }
+        shared.earliest[w].store(earliest, Ordering::Relaxed);
+        shared.barrier.wait();
+        if shared.abort.load(Ordering::Relaxed) {
             break;
         }
-        let mut progress = false;
-        for rt in &mut rts {
-            progress |= pass(rt, sync);
+        let earliest = shared.earliest.iter().map(|e| e.load(Ordering::Relaxed));
+        let t = earliest.min().unwrap_or(Time::MAX);
+        if t == Time::MAX {
+            break;
         }
-        {
-            let mut s = sync.lock();
-            if s.done {
-                break;
-            }
-            if progress {
-                continue;
-            }
-            if relax(&mut s, topo) {
-                if s.waiting > 0 {
-                    sync.cv.notify_all();
-                }
-                continue;
-            }
-            if s.generation != gen {
-                continue;
-            }
-            // Park until some other thread changes the world. There is
-            // no "all threads waiting ⇒ done" shortcut on purpose: a
-            // parked thread may hold a wake that simply hasn't been
-            // scheduled yet, so `waiting == threads` proves nothing.
-            // Termination is exclusively the pass-level check — all
-            // domains quiescent and no unauthorized message in flight —
-            // and liveness is the relaxation's fixed point, below which
-            // the globally earliest event is always strictly deliverable
-            // (every other domain's bound sits at least one link latency
-            // above it).
-            s.waiting += 1;
-            while !s.done && s.generation == gen {
-                s = sync.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-            }
-            s.waiting -= 1;
-            if s.done {
+        windows += 1;
+        let horizon = t.saturating_add(shared.lookahead);
+        // A domain with nothing below the horizon sits the window out:
+        // its segment would run nothing, so skipping it changes nothing.
+        for rt in rts.iter_mut().filter(|rt| rt.next < horizon) {
+            rt.hooks.enter();
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                segment(&mut rt.sim, &mut rt.in_links, horizon)
+            }));
+            rt.hooks.exit();
+            if let Err(payload) = ran {
+                failure = Some(payload);
                 break;
             }
         }
+        shared.barrier.wait();
     }
 
+    if let Some(payload) = failure {
+        resume_unwind(payload);
+    }
+    if shared.abort.load(Ordering::Relaxed) {
+        // Another worker failed: the run is over, and its domains are
+        // dropped without finishing their hooks.
+        return (windows, Vec::new());
+    }
+    let mut finals = Vec::with_capacity(rts.len());
     for mut rt in rts {
-        finals[rt.idx].store(rt.sim.now(), Ordering::Release);
+        finals.push((rt.idx, rt.sim.now()));
         // Teardown runs entered: dropping the `Sim` drops parked tasks,
         // whose destructors may emit probe events that must land in the
         // domain's own session.
@@ -594,173 +523,40 @@ fn worker(
         drop(rt.sim);
         rt.hooks.finish();
     }
+    (windows, finals)
 }
 
-/// One execution slice of one domain: compute the EIT, run everything
-/// strictly below it, then republish the promise and the termination
-/// bookkeeping. Returns whether anything happened.
-fn pass(rt: &mut DomainRt, sync: &SyncShared) -> bool {
-    let eit = {
-        let s = sync.lock();
-        rt.in_links
-            .iter()
-            .map(|l| s.promises[l.from].saturating_add(l.latency))
-            .min()
-            .unwrap_or(Time::MAX)
-    };
-    let polls_before = rt.sim.polls();
-    rt.hooks.enter();
-    let outcome = catch_unwind(AssertUnwindSafe(|| segment(rt, eit)));
-    rt.hooks.exit();
-    let delivered = match outcome {
-        Ok(d) => d,
-        Err(payload) => resume_unwind(payload),
-    };
-    let mut progress = delivered > 0 || rt.sim.polls() != polls_before;
-
-    let timer_floor = rt.sim.next_timer_deadline().unwrap_or(Time::MAX);
-    let pending = rt.sim.pending_timers() > 0 || rt.sim.has_runnable();
-
-    let mut s = sync.lock();
-    // Re-scan the inbound fronts *under the synchronizer lock*. A scan
-    // taken before acquiring it can miss a message a peer sent while the
-    // segment ran — and whose sender then raised its own promise past
-    // the send time — letting this domain publish a promise above an
-    // event it still has to execute. Under the lock, any completed
-    // `note_send` is ordered before us (its push is visible to the
-    // scan), and a send still racing for the lock re-mins `inbound`
-    // right after; until then the sender's published promise still
-    // bounds that message. Overwriting (not min-ing) is what lets the
-    // bound rise again once messages are delivered. No lock-order
-    // inversion: senders release the queue lock before `note_send`.
-    let mut front = Time::MAX;
-    for l in rt.in_links.iter_mut() {
-        if let Some(f) = l.front() {
-            front = front.min(f);
-        }
-    }
-    s.inbound[rt.idx] = front;
-    s.timer_floor[rt.idx] = timer_floor;
-    let base = timer_floor.min(front);
-    s.queued_unauth -= delivered;
-    let eit_now = rt
-        .in_links
-        .iter()
-        .map(|l| s.promises[l.from].saturating_add(l.latency))
-        .min()
-        .unwrap_or(Time::MAX);
-    // Promises are clamped monotone: a forged timestamp must not let a
-    // domain walk its promise backwards and "legalize" the violation.
-    let p = base.min(eit_now).max(s.promises[rt.idx]);
-    if p != s.promises[rt.idx] {
-        s.promises[rt.idx] = p;
-        s.generation = s.generation.wrapping_add(1);
-        progress = true;
-        if s.waiting > 0 {
-            sync.cv.notify_all();
-        }
-    }
-    s.pending[rt.idx] = pending;
-    if !s.done && s.queued_unauth == 0 && !s.pending.iter().any(|&b| b) {
-        s.done = true;
-        sync.cv.notify_all();
-    }
-    progress
-}
-
-/// Interleaves local timers and inbound deliveries strictly below `eit`,
-/// in timestamp order, with messages-before-timers at equal times. The
-/// clock only ever lands on *actual* event times (`run_until` to a real
-/// timer deadline, `advance_to` to a real message timestamp) — never on
-/// an EIT-derived bound — so the probe stream cannot pick up values that
-/// depend on how rounds were sliced.
-fn segment(rt: &mut DomainRt, eit: Time) -> u64 {
-    let mut delivered = 0u64;
+/// Runs one domain's events strictly below `horizon`, in timestamp
+/// order, with messages-before-timers at equal times. The clock only
+/// ever lands on *actual* event times (`run_until` to a real timer
+/// deadline, `advance_to` to a real message timestamp) — never on the
+/// horizon — so the probe stream cannot pick up values that depend on
+/// how the run was cut into windows.
+fn segment(sim: &mut Sim, in_links: &mut [InLink], horizon: Time) {
     loop {
         // Quiesce at the current instant first: deliveries and timer
         // fires below may have woken tasks that send or sleep again.
-        let t = rt.sim.now();
-        rt.sim.run_until(t);
-        let mut next_msg: Option<Time> = None;
-        for l in rt.in_links.iter_mut() {
-            if let Some(f) = l.front() {
-                assert!(
-                    f > rt.sim.now(),
-                    "lookahead violation: domain '{}' holds an inbound event stamped t={f} \
-                     on link {} from domain {} with its clock already at t={} — the sender \
-                     broke its promise (forged timestamp or zero-lookahead path)",
-                    rt.name,
-                    l.id,
-                    l.from,
-                    rt.sim.now(),
-                );
-                if f < eit {
-                    next_msg = Some(next_msg.map_or(f, |m| m.min(f)));
-                }
-            }
-        }
-        let next_timer = rt.sim.next_timer_deadline().filter(|&d| d < eit);
+        let t = sim.now();
+        sim.run_until(t);
+        let next_msg = in_links
+            .iter()
+            .filter_map(|l| l.front)
+            .min()
+            .filter(|&f| f < horizon);
+        let next_timer = sim.next_timer_deadline().filter(|&d| d < horizon);
         match (next_msg, next_timer) {
-            (None, None) => break,
-            (Some(m), Some(d)) if d < m => {
-                rt.sim.run_until(d);
-            }
-            (Some(m), _) => {
-                rt.sim.advance_to(m);
-                for l in rt.in_links.iter_mut() {
-                    if l.front() == Some(m) {
-                        delivered += l.authorize(m);
-                    }
+            (Some(m), d) if d.is_none_or(|d| m <= d) => {
+                sim.advance_to(m);
+                for l in in_links.iter_mut().filter(|l| l.front == Some(m)) {
+                    l.front = l.port.authorize(m);
                 }
             }
-            (None, Some(d)) => {
-                rt.sim.run_until(d);
+            (_, Some(d)) => {
+                sim.run_until(d);
             }
+            _ => break,
         }
     }
-    delivered
-}
-
-/// Closes the promise equations `p(d) = min(base(d), min over in-links
-/// (p(src) + latency))` to their greatest fixed point — a shortest-path
-/// relaxation seeded from each domain's local event bound
-/// `min(timer_floor, inbound)`, both maintained under the synchronizer
-/// lock so in-flight messages are never invisible to the seed. Raises
-/// any promise below the fixed point; returns whether anything rose.
-/// This is what lets a ring of idle domains jump straight past a
-/// far-future timer instead of exchanging `+latency` null-message steps
-/// forever.
-fn relax(s: &mut SyncState, topo: &[(usize, usize, Time)]) -> bool {
-    let mut q: Vec<Time> = s
-        .timer_floor
-        .iter()
-        .zip(s.inbound.iter())
-        .map(|(&t, &i)| t.min(i))
-        .collect();
-    loop {
-        let mut changed = false;
-        for &(from, to, latency) in topo {
-            let bound = q[from].saturating_add(latency);
-            if bound < q[to] {
-                q[to] = bound;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut any = false;
-    for (p, &fixed) in s.promises.iter_mut().zip(q.iter()) {
-        if fixed > *p {
-            *p = fixed;
-            any = true;
-        }
-    }
-    if any {
-        s.generation = s.generation.wrapping_add(1);
-    }
-    any
 }
 
 #[cfg(test)]
@@ -777,8 +573,9 @@ mod tests {
         s.push('\n');
     }
 
-    /// Two domains ping-pong a counter; returns (logs, final times).
-    fn ping_pong(jobs: usize) -> (Vec<String>, Vec<Time>) {
+    /// Two domains ping-pong a counter; returns (logs, final times,
+    /// window count).
+    fn ping_pong(jobs: usize) -> (Vec<String>, Vec<Time>, u64) {
         let logs: Vec<Log> = (0..2)
             .map(|_| Arc::new(Mutex::new(String::new())))
             .collect();
@@ -811,14 +608,14 @@ mod tests {
             });
             (sim, Box::new(NoHooks) as Box<dyn DomainHooks>)
         });
-        let finals = set.run(jobs);
+        let run = set.run(jobs);
         let out = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
-        (out, finals)
+        (out, run.finals, run.windows)
     }
 
     #[test]
     fn ping_pong_timing_and_values() {
-        let (logs, finals) = ping_pong(2);
+        let (logs, finals, _) = ping_pong(2);
         // A sends at 0, B receives at 1000, echo arrives at 1500; each
         // round trip costs 1500 ns of virtual time.
         assert_eq!(
@@ -838,13 +635,16 @@ mod tests {
     fn parallel_replays_serial_byte_identically() {
         let serial = ping_pong(1);
         for jobs in [2, 4] {
-            assert_eq!(ping_pong(jobs), serial, "jobs={jobs} diverged from serial");
+            let par = ping_pong(jobs);
+            assert_eq!(par.2, serial.2, "jobs={jobs}: window count diverged");
+            assert_eq!(par, serial, "jobs={jobs} diverged from serial");
         }
     }
 
     /// A three-domain ring relaying a token with per-hop sleeps; checks
-    /// the merged behaviour is identical at every thread count.
-    fn ring(jobs: usize) -> Vec<String> {
+    /// the merged behaviour is identical at every thread count. Returns
+    /// the logs and the window count.
+    fn ring(jobs: usize) -> (Vec<String>, u64) {
         let n = 3;
         let logs: Vec<Log> = (0..n)
             .map(|_| Arc::new(Mutex::new(String::new())))
@@ -883,16 +683,19 @@ mod tests {
                 (sim, Box::new(NoHooks) as Box<dyn DomainHooks>)
             });
         }
-        set.run(jobs);
-        logs.iter().map(|l| l.lock().unwrap().clone()).collect()
+        let windows = set.run(jobs).windows;
+        let logs = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+        (logs, windows)
     }
 
     #[test]
     fn ring_is_thread_count_invariant() {
-        let serial = ring(1);
+        let (serial, windows) = ring(1);
         assert!(serial[0].lines().count() > 10, "ring should actually relay");
         for jobs in [2, 3] {
-            assert_eq!(ring(jobs), serial, "jobs={jobs} diverged from serial");
+            let (logs, w) = ring(jobs);
+            assert_eq!(logs, serial, "jobs={jobs} diverged from serial");
+            assert_eq!(w, windows, "jobs={jobs}: window count diverged");
         }
     }
 
@@ -922,15 +725,19 @@ mod tests {
             });
             (sim, Box::new(NoHooks) as Box<dyn DomainHooks>)
         });
-        assert_eq!(set.run(2), vec![0, 0]);
+        let run = set.run(2);
+        assert_eq!(run.finals, vec![0, 0]);
+        // One window runs both roots to their parked receivers; the next
+        // finds nothing pending anywhere and ends the run.
+        assert_eq!(run.windows, 1);
     }
 
     #[test]
     fn idle_ring_jumps_a_far_future_timer() {
         // One domain sleeps 10 ms before sending; two others form an
-        // idle cycle with 100 ns lookahead. The relaxation must close
-        // the promise fixed point directly instead of exchanging 100k
-        // +latency null rounds.
+        // idle cycle with 100 ns lookahead. The next window must start
+        // at the timer itself instead of stepping 100k windows of one
+        // lookahead each.
         let mut set = DomainSet::new();
         let a = set.add_domain("a");
         let b = set.add_domain("b");
@@ -969,7 +776,11 @@ mod tests {
             });
             (sim, Box::new(NoHooks) as Box<dyn DomainHooks>)
         });
-        set.run(3);
+        let run = set.run(3);
+        // The jump takes 3 windows: the roots at t=0, the 10 ms timer
+        // itself, and the delivery of its message at b. The relay hop
+        // to c is the 4th.
+        assert_eq!(run.windows, 4);
         assert_eq!(
             *got.lock().unwrap(),
             vec![
@@ -984,10 +795,10 @@ mod tests {
         let a = set.add_domain("forger");
         let b = set.add_domain("victim");
         let (tx, mut rx) = set.link::<u64>(a, b, 100_000);
-        // Reverse link with a tiny lookahead: the forger cannot reach
-        // its 1 ms timer until the victim's promise is past ~1 ms, which
-        // guarantees the victim's clock is far beyond the forged stamp
-        // when it lands — regardless of thread scheduling.
+        // Reverse link with a tiny lookahead: windows are at most 100 ns
+        // wide, so the victim's clock is within one window of the
+        // forger's 1 ms timer when the forged stamp lands — far beyond
+        // it, regardless of thread scheduling.
         let (_back_tx, _back_rx) = set.link::<u64>(b, a, 100);
         set.set_root(a, move || {
             let sim = Sim::new();
@@ -1027,6 +838,54 @@ mod tests {
                 msg.contains("lookahead violation"),
                 "jobs={jobs}: wrong panic: {msg}"
             );
+        }
+    }
+
+    /// Three domains on a ring of 100 ns links whose tasks step their
+    /// clocks forever, so the run only ends if the abort path works.
+    /// Domain `b` panics: in its task at t=1000, or in its root closure
+    /// before it builds a `Sim`.
+    fn aborted_run(jobs: usize, in_task: bool) -> String {
+        let mut set = DomainSet::new();
+        let ids: Vec<usize> = ["a", "b", "c"].map(|n| set.add_domain(n)).to_vec();
+        for d in 0..3 {
+            let _ = set.link::<u8>(ids[d], ids[(d + 1) % 3], 100);
+        }
+        for d in ids {
+            set.set_root(d, move || {
+                if d == 1 && !in_task {
+                    panic!("root boom in b");
+                }
+                let sim = Sim::new();
+                sim.spawn(async move {
+                    loop {
+                        sleep(50).await;
+                        if d == 1 && now() >= 1_000 {
+                            panic!("task boom in b");
+                        }
+                    }
+                });
+                (sim, Box::new(NoHooks) as Box<dyn DomainHooks>)
+            });
+        }
+        let err = catch_unwind(AssertUnwindSafe(|| set.run(jobs)))
+            .expect_err("a panicking domain must fail the run");
+        err.downcast_ref::<&str>()
+            .expect("the payload is resumed as it was raised")
+            .to_string()
+    }
+
+    #[test]
+    fn task_panic_aborts_every_worker() {
+        for jobs in [1, 2, 3] {
+            assert_eq!(aborted_run(jobs, true), "task boom in b", "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn root_panic_aborts_every_worker() {
+        for jobs in [1, 2, 3] {
+            assert_eq!(aborted_run(jobs, false), "root boom in b", "jobs={jobs}");
         }
     }
 

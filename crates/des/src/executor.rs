@@ -224,8 +224,8 @@ impl Sim {
     }
 
     /// Deadline of the earliest pending timer, if any. This is the
-    /// simulation's next *local* event: the conservative synchronizer in
-    /// [`crate::domain`] uses it as one component of a domain's promise.
+    /// simulation's next *local* event: the window synchronizer in
+    /// [`crate::domain`] folds it into a domain's earliest pending event.
     pub fn next_timer_deadline(&self) -> Option<Time> {
         self.shared
             .timers

@@ -44,7 +44,7 @@ mod time;
 
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use combinators::{join_all, race, timeout, Either, Elapsed};
-pub use domain::{DomainHooks, DomainSet, NoHooks, XReceiver, XSender};
+pub use domain::{DomainHooks, DomainRun, DomainSet, NoHooks, XReceiver, XSender};
 pub use drr::{DrrScheduler, TenantQueues};
 pub use executor::{now, sleep, sleep_until, spawn, try_now, yield_now, JoinHandle, Sim};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};

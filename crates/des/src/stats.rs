@@ -123,6 +123,12 @@ impl Histogram {
         self.samples.borrow().iter().copied().max()
     }
 
+    /// Every recorded sample, in no particular order — for merging
+    /// histograms recorded on different threads.
+    pub fn samples(&self) -> Vec<u64> {
+        self.samples.borrow().clone()
+    }
+
     /// Exact quantile by the nearest-rank method; `q` in `[0, 1]`.
     /// Returns `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {

@@ -43,6 +43,10 @@ fn par_cluster_replays_byte_identically_across_job_counts() {
                 serial.finals, par.finals,
                 "seed {seed}: final clocks diverged"
             );
+            assert_eq!(
+                serial.windows, par.windows,
+                "seed {seed}: synchronizer window count diverged"
+            );
         }
     }
 }
@@ -87,10 +91,10 @@ fn planted_lookahead_violation_is_caught_not_reordered() {
         set.set_root(a, move || {
             let sim = Sim::new();
             sim.spawn(async move {
-                // 'a' cannot reach this timer until `b` has promised past
-                // it — which requires `b` to have fired its 5_000 timer
-                // first. So by the time this send executes, `b`'s clock
-                // is provably at 5_000 and a stamp of 100 is in its past.
+                // 'a' reaches this timer in a later window than the one
+                // in which `b` fires its 5_000 timer. So by the time this
+                // send executes, `b`'s clock is provably at 5_000 and a
+                // stamp of 100 is in its past.
                 dpdpu_des::sleep(10_000).await;
                 tx.send_with_timestamp(100, 7);
                 let _ = back_rx.recv().await;
