@@ -32,20 +32,22 @@ impl BitWriter {
             n == 32 || value < (1u32 << n),
             "value {value} too wide for {n} bits"
         );
+        // Fewer than 32 bits are pending before the write, so the
+        // accumulator never holds more than 63.
         self.acc |= (value as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
-    /// Flushes any partial byte (zero-padded) and returns the buffer.
+    /// Flushes the pending bits (the last byte zero-padded) and returns
+    /// the buffer.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.out.push((self.acc & 0xFF) as u8);
-        }
+        let bytes = self.nbits.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
         self.out
     }
 
@@ -79,6 +81,17 @@ impl<'a> BitReader<'a> {
     }
 
     fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            // One 8-byte load, keeping the whole bytes that fit. Bits above
+            // `nbits` are then the true next input bits, so OR-ing them in
+            // again on a later refill leaves them unchanged.
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word << self.nbits;
+            let take = (63 - self.nbits) / 8;
+            self.pos += take as usize;
+            self.nbits += take * 8;
+            return;
+        }
         while self.nbits <= 56 && self.pos < self.data.len() {
             self.acc |= (self.data[self.pos] as u64) << self.nbits;
             self.pos += 1;
@@ -110,7 +123,9 @@ impl<'a> BitReader<'a> {
     /// (valid at end of stream for Huffman peek-decode).
     pub fn peek_bits(&mut self, n: u32) -> u32 {
         debug_assert!(n <= 32);
-        self.refill();
+        if self.nbits < n {
+            self.refill();
+        }
         let mask = if n >= 32 {
             u64::MAX >> 32
         } else {

@@ -3,7 +3,7 @@
 use super::bitstream::BitReader;
 use super::encode::MAGIC;
 use super::huffman::{DecodeSymbolError, Decoder};
-use super::{DIST_TABLE, EOB, LENGTH_TABLE, NUM_DIST, NUM_LITLEN, WINDOW_SIZE};
+use super::{DIST_TABLE, EOB, LENGTH_TABLE, MAX_MATCH, NUM_DIST, NUM_LITLEN, WINDOW_SIZE};
 
 /// Decompression failures (corrupt or truncated input).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,16 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecodeError> {
     if &input[0..4] != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let orig_len = u64::from_le_bytes(input[4..12].try_into().expect("sliced 8 bytes")) as usize;
+    let orig_len = u64::from_le_bytes(input[4..12].try_into().expect("sliced 8 bytes"));
+    // Each token costs at least one code bit, and a back-reference (at
+    // most MAX_MATCH bytes) at least two, so the body's bits bound the
+    // output. A header claiming more is corrupt; reject it before
+    // reserving memory for it.
+    let max_out = (input.len() - 12).saturating_mul(8 * (MAX_MATCH / 2));
+    if orig_len > max_out as u64 {
+        return Err(DecodeError::UnexpectedEof);
+    }
+    let orig_len = orig_len as usize;
     let mut r = BitReader::new(&input[12..]);
     let mut out: Vec<u8> = Vec::with_capacity(orig_len);
 
@@ -110,10 +119,14 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecodeError> {
             if distance == 0 || distance > out.len() || distance > WINDOW_SIZE {
                 return Err(DecodeError::BadReference);
             }
+            // An overlapping copy (distance < len) repeats the last
+            // `distance` bytes; each pass copies only bytes already final.
             let start = out.len() - distance;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            let mut left = len;
+            while left > 0 {
+                let chunk = left.min(out.len() - start);
+                out.extend_from_within(start..start + chunk);
+                left -= chunk;
             }
         }
     }
@@ -199,6 +212,32 @@ mod tests {
         let packed = compress(&b"some reasonably long input to compress".repeat(50));
         let cut = &packed[..packed.len() / 2];
         assert!(decompress(cut).is_err());
+    }
+
+    #[test]
+    fn corrupt_length_high_bytes_are_rejected() {
+        // A huge declared length must come back as an error, not abort
+        // the process trying to reserve it.
+        for byte in 5..12 {
+            let mut packed = compress(b"abcabcabc");
+            packed[byte] = 0xFF;
+            assert_eq!(
+                decompress(&packed),
+                Err(DecodeError::UnexpectedEof),
+                "byte {byte}"
+            );
+        }
+        let mut packed = compress(b"abcabcabc");
+        packed[4..12].fill(0xFF);
+        assert_eq!(decompress(&packed), Err(DecodeError::UnexpectedEof));
+    }
+
+    #[test]
+    fn length_bound_admits_the_densest_stream() {
+        // Runs of one byte are the densest output the encoder makes; the
+        // header bound must never reject an honest container.
+        let data = vec![0u8; 1 << 20];
+        assert_eq!(decompress(&compress(&data)).unwrap(), data);
     }
 
     #[test]

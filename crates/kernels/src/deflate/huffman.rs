@@ -13,10 +13,18 @@ pub const MAX_CODE_LEN: u8 = 15;
 /// Computes optimal length-limited code lengths for `freqs` via
 /// package-merge. Symbols with zero frequency get length 0. A lone active
 /// symbol gets length 1.
+///
+/// Each level's list is kept only as `(weight, is_leaf)` pairs: a leaf
+/// ranks before a package of equal weight, and the leaves of every list
+/// are the active symbols in `(weight, symbol)` order. The optimal
+/// solution takes the first `2n - 2` items of the last list, and the
+/// packages among a selected prefix are the first ones of their level, so
+/// they cover a prefix twice as long one level up. Walking those prefixes
+/// down the levels, each selected leaf adds one bit to its symbol's length.
 pub fn build_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
     let n = freqs.len();
     let mut lengths = vec![0u8; n];
-    let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
+    let mut active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
     match active.len() {
         0 => return lengths,
         1 => {
@@ -31,59 +39,39 @@ pub fn build_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
         active.len(),
         max_len
     );
-
-    // Items are (weight, contributing leaf symbols).
-    #[derive(Clone)]
-    struct Item {
-        weight: u64,
-        leaves: Vec<usize>,
-    }
-
-    let mut leaves: Vec<Item> = active
-        .iter()
-        .map(|&i| Item {
-            weight: freqs[i],
-            leaves: vec![i],
-        })
-        .collect();
     // Sort by weight, breaking ties by symbol for determinism.
-    leaves.sort_by_key(|it| (it.weight, it.leaves[0]));
+    active.sort_by_key(|&i| (freqs[i], i));
+    let leaves: Vec<u64> = active.iter().map(|&i| freqs[i]).collect();
 
-    let mut prev: Vec<Item> = Vec::new();
+    // levels[k] holds the (weight, is_leaf) list after k + 1 merges.
+    let mut levels: Vec<Vec<(u64, bool)>> = Vec::with_capacity(max_len as usize);
     for _ in 0..max_len {
-        // Merge leaves with packages of the previous level.
-        let mut packages: Vec<Item> = Vec::with_capacity(prev.len() / 2);
-        let mut iter = prev.chunks_exact(2);
-        for pair in &mut iter {
-            let mut leaves_union = pair[0].leaves.clone();
-            leaves_union.extend_from_slice(&pair[1].leaves);
-            packages.push(Item {
-                weight: pair[0].weight + pair[1].weight,
-                leaves: leaves_union,
-            });
-        }
+        let prev = levels.last().map_or(&[][..], Vec::as_slice);
+        let packages: Vec<u64> = prev.chunks_exact(2).map(|p| p[0].0 + p[1].0).collect();
         let mut merged = Vec::with_capacity(leaves.len() + packages.len());
         let (mut i, mut j) = (0, 0);
         while i < leaves.len() && j < packages.len() {
-            if leaves[i].weight <= packages[j].weight {
-                merged.push(leaves[i].clone());
+            if leaves[i] <= packages[j] {
+                merged.push((leaves[i], true));
                 i += 1;
             } else {
-                merged.push(packages[j].clone());
+                merged.push((packages[j], false));
                 j += 1;
             }
         }
-        merged.extend_from_slice(&leaves[i..]);
-        merged.extend(packages.into_iter().skip(j));
-        prev = merged;
+        merged.extend(leaves[i..].iter().map(|&w| (w, true)));
+        merged.extend(packages[j..].iter().map(|&w| (w, false)));
+        levels.push(merged);
     }
 
-    // The first 2n-2 items of the final list define the lengths.
-    let take = 2 * active.len() - 2;
-    for item in prev.iter().take(take) {
-        for &sym in &item.leaves {
+    let mut take = 2 * active.len() - 2;
+    for level in levels.iter().rev() {
+        let selected = &level[..take.min(level.len())];
+        let leaf_count = selected.iter().filter(|&&(_, leaf)| leaf).count();
+        for &sym in &active[..leaf_count] {
             lengths[sym] += 1;
         }
+        take = 2 * (selected.len() - leaf_count);
     }
     debug_assert!(lengths.iter().all(|&l| l <= max_len));
     debug_assert!(
@@ -221,6 +209,124 @@ impl From<OutOfBits> for DecodeSymbolError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference package-merge: every item carries the list of leaf
+    /// symbols it contains, and the first `2n - 2` items of the last
+    /// level add one bit per contained leaf.
+    fn reference_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
+        let n = freqs.len();
+        let mut lengths = vec![0u8; n];
+        let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
+        match active.len() {
+            0 => return lengths,
+            1 => {
+                lengths[active[0]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+        assert!(
+            (1usize << max_len) >= active.len(),
+            "alphabet of {} cannot fit in {}-bit codes",
+            active.len(),
+            max_len
+        );
+
+        // Items are (weight, contributing leaf symbols).
+        #[derive(Clone)]
+        struct Item {
+            weight: u64,
+            leaves: Vec<usize>,
+        }
+
+        let mut leaves: Vec<Item> = active
+            .iter()
+            .map(|&i| Item {
+                weight: freqs[i],
+                leaves: vec![i],
+            })
+            .collect();
+        // Sort by weight, breaking ties by symbol for determinism.
+        leaves.sort_by_key(|it| (it.weight, it.leaves[0]));
+
+        let mut prev: Vec<Item> = Vec::new();
+        for _ in 0..max_len {
+            // Merge leaves with packages of the previous level.
+            let mut packages: Vec<Item> = Vec::with_capacity(prev.len() / 2);
+            let mut iter = prev.chunks_exact(2);
+            for pair in &mut iter {
+                let mut leaves_union = pair[0].leaves.clone();
+                leaves_union.extend_from_slice(&pair[1].leaves);
+                packages.push(Item {
+                    weight: pair[0].weight + pair[1].weight,
+                    leaves: leaves_union,
+                });
+            }
+            let mut merged = Vec::with_capacity(leaves.len() + packages.len());
+            let (mut i, mut j) = (0, 0);
+            while i < leaves.len() && j < packages.len() {
+                if leaves[i].weight <= packages[j].weight {
+                    merged.push(leaves[i].clone());
+                    i += 1;
+                } else {
+                    merged.push(packages[j].clone());
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&leaves[i..]);
+            merged.extend(packages.into_iter().skip(j));
+            prev = merged;
+        }
+
+        // The first 2n-2 items of the final list define the lengths.
+        let take = 2 * active.len() - 2;
+        for item in prev.iter().take(take) {
+            for &sym in &item.leaves {
+                lengths[sym] += 1;
+            }
+        }
+        lengths
+    }
+
+    #[test]
+    fn prefix_count_merge_matches_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        let mut limits_seen = [false; MAX_CODE_LEN as usize + 1];
+        for case in 0..10_000usize {
+            let n = rng.random_range(2..=286usize);
+            let zero_p = [0.0, 0.5, 0.9][case % 3];
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| {
+                    if rng.random_bool(zero_p) {
+                        return 0;
+                    }
+                    match case % 4 {
+                        // Few distinct weights: many ties.
+                        0 => rng.random_range(1..4u64),
+                        // Exponential spread: deep unconstrained trees.
+                        1 => 1u64 << rng.random_range(0..40u32),
+                        2 => rng.random_range(1..1_000u64),
+                        _ => rng.random_range(1..10u64) * rng.random_range(1..10u64),
+                    }
+                })
+                .collect();
+            let active = freqs.iter().filter(|&&f| f > 0).count();
+            let min_limit = (usize::BITS - active.saturating_sub(1).leading_zeros()).max(1) as u8;
+            // Walk every feasible limit over successive cases.
+            let span = (MAX_CODE_LEN - min_limit + 1) as usize;
+            let limit = min_limit + (case / 3 % span) as u8;
+            limits_seen[limit as usize] = true;
+            assert_eq!(
+                build_code_lengths(&freqs, limit),
+                reference_code_lengths(&freqs, limit),
+                "case {case}: limit {limit}, freqs {freqs:?}"
+            );
+        }
+        assert!(limits_seen[1..].iter().all(|&s| s), "{limits_seen:?}");
+    }
 
     #[test]
     fn lengths_satisfy_kraft() {

@@ -39,6 +39,27 @@ fn hash3(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `a` and `b` (equal lengths), compared
+/// 8 bytes at a time.
+#[inline]
+fn match_len(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0;
+    for (wa, wb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(wa.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(wb.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            // Little-endian: the lowest set bit is in the first differing byte.
+            return l + diff.trailing_zeros() as usize / 8;
+        }
+        l += 8;
+    }
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
 /// Greedy LZ77 tokenization of `data` (whole-input; the encoder splits the
 /// token stream into blocks afterwards).
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
@@ -51,8 +72,9 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
 
     // head[h] = most recent position with hash h (+1; 0 = none).
     let mut head = vec![0u32; HASH_SIZE];
-    // prev[i % WINDOW] = previous position with the same hash (+1).
-    let mut prev = vec![0u32; WINDOW_SIZE];
+    // prev[i % WINDOW] = previous position with the same hash (+1). Only
+    // positions below `n` are stored, so a short input needs `n` slots.
+    let mut prev = vec![0u32; n.min(WINDOW_SIZE)];
 
     let mut i = 0usize;
     while i < n {
@@ -62,27 +84,24 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
             continue;
         }
         let h = hash3(data, i);
+        let cur = &data[i..i + (n - i).min(MAX_MATCH)];
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut cand = head[h] as usize;
+        // Candidates are stored +1 and chains only go back in position, so
+        // the walk ends at the first one before the window.
         let min_pos = i.saturating_sub(WINDOW_SIZE);
         let mut chain = 0;
-        while cand > 0 && chain < MAX_CHAIN {
+        while cand > min_pos && chain < MAX_CHAIN {
             let pos = cand - 1;
-            if pos < min_pos || pos >= i {
-                break;
-            }
-            let limit = (n - i).min(MAX_MATCH);
-            // Quick reject on the byte past the current best.
-            if best_len == 0 || (i + best_len < n && data[pos + best_len] == data[i + best_len]) {
-                let mut l = 0usize;
-                while l < limit && data[pos + l] == data[i + l] {
-                    l += 1;
-                }
+            // Quick reject on the byte past the current best. A nonzero
+            // best is below `cur.len()` (reaching it ends the search).
+            if best_len == 0 || data[pos + best_len] == cur[best_len] {
+                let l = match_len(&data[pos..pos + cur.len()], cur);
                 if l > best_len {
                     best_len = l;
                     best_dist = i - pos;
-                    if l >= GOOD_ENOUGH || l == limit {
+                    if l >= GOOD_ENOUGH || l == cur.len() {
                         break;
                     }
                 }
@@ -100,12 +119,10 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
             // matches can reference inside this one.
             let end = i + best_len;
             let insert_end = end.min(n.saturating_sub(MIN_MATCH - 1));
-            let mut j = i;
-            while j < insert_end {
+            for j in i..insert_end {
                 let hj = hash3(data, j);
                 prev[j % WINDOW_SIZE] = head[hj];
                 head[hj] = (j + 1) as u32;
-                j += 1;
             }
             i = end;
         } else {
@@ -161,6 +178,146 @@ pub struct BadReference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference tokenizer: byte-by-byte match extension and a full
+    /// window-sized `prev` table.
+    fn reference_tokenize(data: &[u8]) -> Vec<Token> {
+        let n = data.len();
+        let mut tokens = Vec::with_capacity(n / 3 + 16);
+        if n < MIN_MATCH + 1 {
+            tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+            return tokens;
+        }
+
+        // head[h] = most recent position with hash h (+1; 0 = none).
+        let mut head = vec![0u32; HASH_SIZE];
+        // prev[i % WINDOW] = previous position with the same hash (+1).
+        let mut prev = vec![0u32; WINDOW_SIZE];
+
+        let mut i = 0usize;
+        while i < n {
+            if i + MIN_MATCH > n {
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+                continue;
+            }
+            let h = hash3(data, i);
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            let mut cand = head[h] as usize;
+            let min_pos = i.saturating_sub(WINDOW_SIZE);
+            let mut chain = 0;
+            while cand > 0 && chain < MAX_CHAIN {
+                let pos = cand - 1;
+                if pos < min_pos || pos >= i {
+                    break;
+                }
+                let limit = (n - i).min(MAX_MATCH);
+                // Quick reject on the byte past the current best.
+                if best_len == 0 || (i + best_len < n && data[pos + best_len] == data[i + best_len])
+                {
+                    let mut l = 0usize;
+                    while l < limit && data[pos + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - pos;
+                        if l >= GOOD_ENOUGH || l == limit {
+                            break;
+                        }
+                    }
+                }
+                cand = prev[pos % WINDOW_SIZE] as usize;
+                chain += 1;
+            }
+
+            if best_len >= MIN_MATCH {
+                tokens.push(Token::Match {
+                    len: best_len as u16,
+                    dist: best_dist as u16,
+                });
+                // Insert hash entries for every covered position so later
+                // matches can reference inside this one.
+                let end = i + best_len;
+                let insert_end = end.min(n.saturating_sub(MIN_MATCH - 1));
+                let mut j = i;
+                while j < insert_end {
+                    let hj = hash3(data, j);
+                    prev[j % WINDOW_SIZE] = head[hj];
+                    head[hj] = (j + 1) as u32;
+                    j += 1;
+                }
+                i = end;
+            } else {
+                prev[i % WINDOW_SIZE] = head[h];
+                head[h] = (i + 1) as u32;
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    #[test]
+    fn word_matching_matches_reference() {
+        use crate::text::natural_text;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x1277);
+        let sizes = [0usize, 1, 3, 4, 5, 9, 17, 100, 258, 259, 1_000, 8_192];
+        let long = [
+            WINDOW_SIZE - 1,
+            WINDOW_SIZE,
+            WINDOW_SIZE + 1,
+            40_000,
+            70_000,
+        ];
+        for (k, &n) in sizes.iter().chain(&long).enumerate() {
+            let text = natural_text(n, k as u64);
+            let repetitive: Vec<u8> = b"abcabd".iter().copied().cycle().take(n).collect();
+            let random: Vec<u8> = (0..n).map(|_| rng.random::<u8>()).collect();
+            // Text with runs, noise bursts and far repeats spliced in.
+            let mut mixed = Vec::with_capacity(n);
+            while mixed.len() < n {
+                match rng.random_range(0..4u32) {
+                    0 => mixed.extend_from_slice(&text[..rng.random_range(0..=n.min(300))]),
+                    1 => mixed.extend(std::iter::repeat_n(b'z', rng.random_range(1..600))),
+                    2 => mixed.extend((0..rng.random_range(1..64)).map(|_| rng.random::<u8>())),
+                    _ => {
+                        let from = rng.random_range(0..=mixed.len());
+                        let len = rng.random_range(0..300usize).min(mixed.len() - from);
+                        mixed.extend_from_within(from..from + len);
+                    }
+                }
+            }
+            mixed.truncate(n);
+            for (name, data) in [
+                ("natural", &text),
+                ("repetitive", &repetitive),
+                ("random", &random),
+                ("mixed", &mixed),
+            ] {
+                assert_eq!(
+                    tokenize(data),
+                    reference_tokenize(data),
+                    "{name} input of {n} bytes"
+                );
+            }
+        }
+        // Noise repeating at the window's edge: the only matches sit at
+        // exactly the period back, inside or just outside the window.
+        for period in [WINDOW_SIZE - 1, WINDOW_SIZE, WINDOW_SIZE + 1] {
+            let block: Vec<u8> = (0..period).map(|_| rng.random::<u8>()).collect();
+            let data: Vec<u8> = block.iter().copied().cycle().take(period + 5_000).collect();
+            assert_eq!(
+                tokenize(&data),
+                reference_tokenize(&data),
+                "period {period}"
+            );
+        }
+    }
 
     fn round_trip(data: &[u8]) {
         let tokens = tokenize(data);

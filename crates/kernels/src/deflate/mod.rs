@@ -111,14 +111,18 @@ pub(crate) const DIST_TABLE: [(u16, u8); 30] = [
 /// Maps a match length (3..=258) to (symbol, extra bits, extra value).
 pub(crate) fn length_to_symbol(len: usize) -> (u16, u8, u16) {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
-    // Binary search over base lengths.
-    let mut idx = LENGTH_TABLE
-        .partition_point(|&(base, _)| base as usize <= len)
-        .saturating_sub(1);
-    // Length 258 has its own code (idx 28); lengths 227..=257 use idx 27.
-    if len == MAX_MATCH {
-        idx = 28;
-    }
+    // Lengths 3..=10 have one code each; above that, each extra bit
+    // doubles a group of 4 codes. Length 258 has its own code (idx 28);
+    // lengths 227..=257 use idx 27.
+    let x = len - MIN_MATCH;
+    let idx = if len == MAX_MATCH {
+        28
+    } else if x < 8 {
+        x
+    } else {
+        let extra = x.ilog2() as usize - 2;
+        4 * extra + 4 + ((x >> extra) & 3)
+    };
     let (base, extra_bits) = LENGTH_TABLE[idx];
     (257 + idx as u16, extra_bits, (len - base as usize) as u16)
 }
@@ -126,9 +130,15 @@ pub(crate) fn length_to_symbol(len: usize) -> (u16, u8, u16) {
 /// Maps a match distance (1..=32768) to (symbol, extra bits, extra value).
 pub(crate) fn distance_to_symbol(dist: usize) -> (u16, u8, u16) {
     debug_assert!((1..=WINDOW_SIZE).contains(&dist));
-    let idx = DIST_TABLE
-        .partition_point(|&(base, _)| base as usize <= dist)
-        .saturating_sub(1);
+    // Distances 1..=4 have one code each; above that, each extra bit
+    // doubles a pair of codes.
+    let d = dist - 1;
+    let idx = if d < 4 {
+        d
+    } else {
+        let extra = d.ilog2() as usize - 1;
+        2 * extra + 2 + ((d >> extra) & 1)
+    };
     let (base, extra_bits) = DIST_TABLE[idx];
     (idx as u16, extra_bits, (dist - base as usize) as u16)
 }
